@@ -4,11 +4,12 @@
 // Two modes:
 //   (default)        google-benchmark over the BM_* suites below.
 //   --json <path>    snapshot mode: manually timed GB/s of the GF kernels by
-//                    ISA x length and of encode_value by code x size x path
+//                    ISA x length, of encode_value by code x size x path
 //                    (stripewise-scalar baseline, planar SIMD, planar +
-//                    engine lanes), written as BENCH_gf256.json rows.  This
-//                    is the perf-trajectory record for the SIMD gate
-//                    (ROADMAP: >= 4x encode at 4 KiB stripes vs scalar).
+//                    engine lanes), and of the read path (helper, repair,
+//                    decode) for the deployed PM-MBR shape, planar vs
+//                    stripewise, written as BENCH_gf256.json rows.  This is
+//                    the perf-trajectory record for the SIMD gates.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -287,6 +288,52 @@ int run_snapshot(int argc, char** argv) {
     }
   }
   engine.stop();
+
+  // Read path for the deployed back-end shape (n2 = 8, k = d = 4): helper
+  // data, repair and decode of one value, planar maps vs the stripe-by-stripe
+  // loop, both on the best ISA.  GB/s are per value byte.
+  codes::StripedCode mbr(std::make_shared<codes::PmMbrCode>(8, 4, 4));
+  for (const std::size_t size :
+       {std::size_t{1024}, std::size_t{16 * 1024}, std::size_t{64 * 1024}}) {
+    const Bytes value = rng.bytes(size);
+    const auto elems = mbr.encode_value(value);
+    std::vector<codes::IndexedBytes> helpers;
+    for (int h = 1; h <= 4; ++h) {
+      helpers.emplace_back(
+          h, mbr.helper_data(h, elems[static_cast<std::size_t>(h)], 0));
+    }
+    std::vector<codes::IndexedBytes> input;
+    for (int i = 4; i < 8; ++i) {
+      input.emplace_back(i, elems[static_cast<std::size_t>(i)]);
+    }
+    const std::string p =
+        "code=pm_mbr_8_4_4 size=" + std::to_string(size);
+    auto row = [&](const char* fn, auto&& planar_op, auto&& stripewise_op) {
+      const double planar = measure_gbps(size, planar_op);
+      const double stripewise = measure_gbps(size, stripewise_op);
+      const std::string f(fn);
+      json.add(p, f + "_planar_gbps", planar);
+      json.add(p, f + "_stripewise_gbps", stripewise);
+      json.add(p, f + "_speedup_vs_stripewise", planar / stripewise);
+      std::printf("%-32s %-7s stripewise %7.3f GB/s  planar %7.3f GB/s  "
+                  "speedup %6.1fx\n",
+                  p.c_str(), fn, stripewise, planar, planar / stripewise);
+    };
+    row("helper",
+        [&] { benchmark::DoNotOptimize(mbr.helper_data(5, elems[5], 0)); },
+        [&] {
+          benchmark::DoNotOptimize(mbr.helper_data_stripewise(5, elems[5], 0));
+        });
+    row("repair",
+        [&] { benchmark::DoNotOptimize(mbr.repair_element(0, helpers)); },
+        [&] {
+          benchmark::DoNotOptimize(mbr.repair_element_stripewise(0, helpers));
+        });
+    row("decode", [&] { benchmark::DoNotOptimize(mbr.decode_value(input)); },
+        [&] {
+          benchmark::DoNotOptimize(mbr.decode_value_stripewise(input));
+        });
+  }
   return 0;
 }
 

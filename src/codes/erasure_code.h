@@ -52,8 +52,19 @@ class ErasureCode {
 
   /// Decode one stripe from at least k elements with distinct indices.
   /// Returns nullopt if fewer than k distinct valid elements are given.
+  /// Reads exactly the elements decode_inputs(elements, alpha()) selects, in
+  /// that order.
   virtual std::optional<Bytes> decode(
       std::span<const IndexedBytes> elements) const = 0;
+
+  /// The elements decode() reads: the first k() whose index is in range and
+  /// not seen before and whose payload is `payload_size` symbols, as
+  /// positions into `elements` ordered by element index.  Empty when fewer
+  /// than k() qualify.  It looks only at indices and sizes, so a striped
+  /// caller can select once for a whole value (payload_size = its element
+  /// length) and every stripe reads the same inputs.
+  virtual std::vector<std::size_t> decode_inputs(
+      std::span<const IndexedBytes> elements, std::size_t payload_size) const;
 };
 
 class RegeneratingCode : public ErasureCode {
@@ -72,9 +83,19 @@ class RegeneratingCode : public ErasureCode {
 
   /// Repair element `target_index` from exactly d() helper responses with
   /// distinct helper indices (none equal to target_index).  Returns nullopt
-  /// on malformed input (wrong count, duplicate indices).
+  /// on malformed input (wrong count, duplicate indices).  Reads exactly the
+  /// helpers repair_inputs(target_index, helpers, beta()) selects, in that
+  /// order.
   virtual std::optional<Bytes> repair(
       int target_index, std::span<const IndexedBytes> helpers) const = 0;
+
+  /// The helpers repair() reads, selected like decode_inputs(): the first
+  /// d() with distinct in-range indices other than `target_index` and
+  /// payloads of `payload_size` symbols, ordered by index; empty when fewer
+  /// qualify.
+  virtual std::vector<std::size_t> repair_inputs(
+      int target_index, std::span<const IndexedBytes> helpers,
+      std::size_t payload_size) const;
 };
 
 inline Bytes ErasureCode::encode_one(std::span<const std::uint8_t> stripe,

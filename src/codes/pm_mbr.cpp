@@ -72,47 +72,31 @@ Bytes PmMbrCode::encode_one(std::span<const std::uint8_t> stripe,
   return Bytes(v.begin(), v.end());
 }
 
-const math::Matrix& PmMbrCode::cached_inverse(const std::vector<int>& rows,
-                                              bool phi_block) const {
-  const auto key = std::make_pair(rows, phi_block);
-  auto it = inverse_cache_.find(key);
-  if (it != inverse_cache_.end()) return it->second;
-  if (inverse_cache_.size() > 64) inverse_cache_.clear();
-  const math::Matrix sub = phi_block
-                               ? psi_.select_rows(rows).slice_cols(0, k_)
-                               : psi_.select_rows(rows);
-  auto inv = sub.inverse();
-  LDS_CHECK(inv.has_value(), "PmMbrCode: Vandermonde submatrix singular");
-  return inverse_cache_.emplace(key, std::move(*inv)).first->second;
-}
-
 std::optional<Bytes> PmMbrCode::decode(
     std::span<const IndexedBytes> elements) const {
-  // First k distinct valid elements.
+  const auto pick = decode_inputs(elements, alpha());
+  if (pick.empty()) return std::nullopt;
   std::vector<int> idx;
   math::Matrix y(k_, d_);
-  for (const auto& [i, payload] : elements) {
-    if (i < 0 || static_cast<std::size_t>(i) >= n_) continue;
-    if (payload.size() != alpha()) continue;
-    if (std::find(idx.begin(), idx.end(), i) != idx.end()) continue;
+  for (const std::size_t p : pick) {
+    const auto& [i, payload] = elements[p];
     std::copy(payload.begin(), payload.end(), y.row(idx.size()).begin());
     idx.push_back(i);
-    if (idx.size() == k_) break;
   }
-  if (idx.size() < k_) return std::nullopt;
 
   const math::Matrix psi_dc = psi_.select_rows(idx);       // k x d
   const math::Matrix delta_dc = psi_dc.slice_cols(k_, d_ - k_);  // k x (d-k)
-  const math::Matrix& phi_inv = cached_inverse(idx, /*phi_block=*/true);
+  const auto phi_inv = psi_dc.slice_cols(0, k_).inverse();
+  LDS_CHECK(phi_inv.has_value(), "PmMbrCode: Vandermonde submatrix singular");
 
   // T from the trailing d-k columns: Y2 = Phi_DC T.
   const math::Matrix y2 = y.slice_cols(k_, d_ - k_);
-  const math::Matrix t = phi_inv.mul(y2);
+  const math::Matrix t = phi_inv->mul(y2);
 
   // S from the leading k columns: Y1 = Phi_DC S + Delta_DC T^t.
   const math::Matrix y1 = y.slice_cols(0, k_);
   const math::Matrix rhs = y1.add(delta_dc.mul(t.transpose()));
-  const math::Matrix s = phi_inv.mul(rhs);
+  const math::Matrix s = phi_inv->mul(rhs);
 
   return stripe_from_message(s, t);
 }
@@ -137,24 +121,19 @@ std::optional<Bytes> PmMbrCode::repair(
     int target_index, std::span<const IndexedBytes> helpers) const {
   LDS_REQUIRE(target_index >= 0 && static_cast<std::size_t>(target_index) < n_,
               "PmMbrCode::repair: target index");
-  // First d distinct valid helpers (excluding the target itself).
+  const auto pick = repair_inputs(target_index, helpers, beta());
+  if (pick.empty()) return std::nullopt;
   std::vector<int> idx;
   std::vector<std::uint8_t> h;
-  for (const auto& [i, payload] : helpers) {
-    if (i < 0 || static_cast<std::size_t>(i) >= n_ || i == target_index)
-      continue;
-    if (payload.size() != beta()) continue;
-    if (std::find(idx.begin(), idx.end(), i) != idx.end()) continue;
-    idx.push_back(i);
-    h.push_back(payload[0]);
-    if (idx.size() == d_) break;
+  for (const std::size_t p : pick) {
+    idx.push_back(helpers[p].first);
+    h.push_back(helpers[p].second[0]);
   }
-  if (idx.size() < d_) return std::nullopt;
 
   // Psi_rep (M psi_f) = h  =>  M psi_f; element_f = (M psi_f)^t by symmetry.
-  const math::Matrix& psi_rep_inv = cached_inverse(idx, /*phi_block=*/false);
-  auto x = psi_rep_inv.mul_vec(h);
-  return Bytes(x.begin(), x.end());
+  auto x = psi_.select_rows(idx).solve(h);
+  LDS_CHECK(x.has_value(), "PmMbrCode: Vandermonde submatrix singular");
+  return Bytes(x->begin(), x->end());
 }
 
 }  // namespace lds::codes

@@ -83,17 +83,15 @@ Bytes PmMsrCode::encode_one(std::span<const std::uint8_t> stripe,
 std::optional<Bytes> PmMsrCode::decode(
     std::span<const IndexedBytes> elements) const {
   const std::size_t a = alpha();
+  const auto pick = decode_inputs(elements, a);
+  if (pick.empty()) return std::nullopt;
   std::vector<int> idx;
   math::Matrix y(k_, a);
-  for (const auto& [i, payload] : elements) {
-    if (i < 0 || static_cast<std::size_t>(i) >= n_) continue;
-    if (payload.size() != a) continue;
-    if (std::find(idx.begin(), idx.end(), i) != idx.end()) continue;
+  for (const std::size_t p : pick) {
+    const auto& [i, payload] = elements[p];
     std::copy(payload.begin(), payload.end(), y.row(idx.size()).begin());
     idx.push_back(i);
-    if (idx.size() == k_) break;
   }
-  if (idx.size() < k_) return std::nullopt;
 
   const math::Matrix phi_dc = phi_.select_rows(idx);  // k x alpha
   // P = Y Phi_DC^t; P_ij = A_ij + lambda_i B_ij with A, B symmetric.
@@ -171,19 +169,14 @@ std::optional<Bytes> PmMsrCode::repair(
     int target_index, std::span<const IndexedBytes> helpers) const {
   LDS_REQUIRE(target_index >= 0 && static_cast<std::size_t>(target_index) < n_,
               "PmMsrCode::repair: target index");
-  const std::size_t dd = d();
+  const auto pick = repair_inputs(target_index, helpers, beta());
+  if (pick.empty()) return std::nullopt;
   std::vector<int> idx;
   std::vector<std::uint8_t> h;
-  for (const auto& [i, payload] : helpers) {
-    if (i < 0 || static_cast<std::size_t>(i) >= n_ || i == target_index)
-      continue;
-    if (payload.size() != beta()) continue;
-    if (std::find(idx.begin(), idx.end(), i) != idx.end()) continue;
-    idx.push_back(i);
-    h.push_back(payload[0]);
-    if (idx.size() == dd) break;
+  for (const std::size_t p : pick) {
+    idx.push_back(helpers[p].first);
+    h.push_back(helpers[p].second[0]);
   }
-  if (idx.size() < dd) return std::nullopt;
 
   // Psi_rep (M phi_f) = h  =>  M phi_f = [S1 phi_f; S2 phi_f].
   const math::Matrix psi_rep = psi_.select_rows(idx);

@@ -24,12 +24,9 @@ Bytes ReplicationCode::encode_one(std::span<const std::uint8_t> stripe,
 
 std::optional<Bytes> ReplicationCode::decode(
     std::span<const IndexedBytes> elements) const {
-  for (const auto& [i, payload] : elements) {
-    if (i >= 0 && static_cast<std::size_t>(i) < n_ && payload.size() == 1) {
-      return payload;
-    }
-  }
-  return std::nullopt;
+  const auto pick = decode_inputs(elements, alpha());
+  if (pick.empty()) return std::nullopt;
+  return elements[pick[0]].second;
 }
 
 Bytes ReplicationCode::helper_data(
@@ -46,13 +43,9 @@ std::optional<Bytes> ReplicationCode::repair(
     int target_index, std::span<const IndexedBytes> helpers) const {
   LDS_REQUIRE(target_index >= 0 && static_cast<std::size_t>(target_index) < n_,
               "ReplicationCode::repair: target index");
-  for (const auto& [i, payload] : helpers) {
-    if (i >= 0 && static_cast<std::size_t>(i) < n_ && i != target_index &&
-        payload.size() == 1) {
-      return payload;
-    }
-  }
-  return std::nullopt;
+  const auto pick = repair_inputs(target_index, helpers, beta());
+  if (pick.empty()) return std::nullopt;
+  return helpers[pick[0]].second;
 }
 
 }  // namespace lds::codes

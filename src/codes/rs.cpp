@@ -1,7 +1,5 @@
 #include "codes/rs.h"
 
-#include <algorithm>
-
 #include "matrix/vandermonde.h"
 
 namespace lds::codes {
@@ -30,29 +28,17 @@ Bytes RsCode::encode_one(std::span<const std::uint8_t> stripe,
 
 std::optional<Bytes> RsCode::decode(
     std::span<const IndexedBytes> elements) const {
-  // Collect the first k distinct valid indices.
+  const auto pick = decode_inputs(elements, alpha());
+  if (pick.empty()) return std::nullopt;
   std::vector<int> idx;
   std::vector<std::uint8_t> rhs;
-  for (const auto& [i, payload] : elements) {
-    if (i < 0 || static_cast<std::size_t>(i) >= n_) continue;
-    if (payload.size() != 1) continue;
-    if (std::find(idx.begin(), idx.end(), i) != idx.end()) continue;
-    idx.push_back(i);
-    rhs.push_back(payload[0]);
-    if (idx.size() == k_) break;
+  for (const std::size_t p : pick) {
+    idx.push_back(elements[p].first);
+    rhs.push_back(elements[p].second[0]);
   }
-  if (idx.size() < k_) return std::nullopt;
-  const auto x = cached_inverse(idx).mul_vec(rhs);
-  return Bytes(x.begin(), x.end());
-}
-
-const math::Matrix& RsCode::cached_inverse(const std::vector<int>& rows) const {
-  auto it = inverse_cache_.find(rows);
-  if (it != inverse_cache_.end()) return it->second;
-  if (inverse_cache_.size() > 64) inverse_cache_.clear();
-  auto inv = gen_.select_rows(rows).inverse();
-  LDS_CHECK(inv.has_value(), "RsCode: Vandermonde submatrix singular");
-  return inverse_cache_.emplace(rows, std::move(*inv)).first->second;
+  auto x = gen_.select_rows(idx).solve(rhs);
+  LDS_CHECK(x.has_value(), "RsCode: Vandermonde submatrix singular");
+  return Bytes(x->begin(), x->end());
 }
 
 Bytes RsRegenerating::helper_data(int helper_index,
@@ -70,7 +56,6 @@ Bytes RsRegenerating::helper_data(int helper_index,
 
 std::optional<Bytes> RsRegenerating::repair(
     int target_index, std::span<const IndexedBytes> helpers) const {
-  if (helpers.size() < rs_.k()) return std::nullopt;
   auto stripe = rs_.decode(helpers);
   if (!stripe) return std::nullopt;
   return rs_.encode_one(*stripe, target_index);

@@ -8,30 +8,45 @@
 // are therefore value-size * alpha/B and value-size * beta/B up to padding,
 // matching the normalized cost accounting of Section II-d.
 //
-// Encode hot path.  Every wrapped code is a fixed linear map per stripe
-// (element i, symbol t  =  <E[i*alpha+t], stripe>), so encode_value does NOT
-// loop stripe-by-stripe through tiny dot products.  Instead it probes the
-// code once with the B basis stripes to recover the (n*alpha) x B encode map
-// E, then processes stripes in cache-sized chunks in *plane-major* form:
-// gather input plane j (symbol j of every stripe in the chunk, contiguous),
-// accumulate output planes with long gf::mul_into / gf::axpy calls (the
-// runtime-dispatched SIMD kernels), and scatter back to the stripe-major
-// element layout.  The probe is validated against the wrapped code on a test
-// stripe at build time; a code that is not a fixed linear map (none today)
-// silently keeps the reference stripe-by-stripe path.
+// Planar engine.  Every per-stripe function of the wrapped codes is a fixed
+// GF(256) linear map:
+//
+//   encode   (n*alpha) x B          one per code
+//   helper   beta x alpha           one per (helper, target)
+//   repair   alpha x (d*beta)       one per (target, set of d helpers)
+//   decode   B x (k*alpha)          one per set of k elements
+//
+// so no path loops stripe-by-stripe through tiny dot products.  Each map is
+// taken from the wrapped code by probing it with basis inputs and checked
+// against the code on a dense input.  It is then applied to a whole value in
+// *plane-major* form: stripes are processed in cache-sized chunks, input
+// plane c (symbol c of every stripe in the chunk) is gathered contiguously,
+// every output plane is accumulated with long gf::mul_into / gf::axpy calls
+// (the runtime-dispatched SIMD kernels), and scattered back to the
+// stripe-major layout.  One sweep function does this for all five entry
+// points.
+//
+// The encode map is built once.  Read-path maps are keyed by the sorted
+// index set the wrapped code's decode_inputs / repair_inputs select, so
+// arrival order does not matter, and live in a mutex-guarded cache bounded in
+// coefficient bytes and shared by every copy of the StripedCode.  Building a
+// map is the only per-index-set work.  A function whose probe fails the check
+// (a code that is not a fixed linear map, e.g. a randomized one) is
+// remembered as such and keeps the reference stripe-by-stripe path through
+// the wrapped code: the *_stripewise methods, which are also the test oracle
+// and the bench baseline.
 //
 // Large encodes additionally fan out across the lanes of a net::Engine
 // (encode_value(value, engine)): stripe chunks go into a shared claim
 // counter, every other lane is posted a helper task, and the calling lane
 // helps until all chunks are done.  Helpers never block, so the fan-out
 // cannot deadlock even when every lane encodes concurrently.  The output is
-// byte-identical on every path - scalar or SIMD, serial or lane-parallel,
-// Sim or Parallel engine - because chunk boundaries only partition pure,
-// exact GF arithmetic.
+// byte-identical on every path - scalar or SIMD, planar or stripewise, serial
+// or lane-parallel, Sim or Parallel engine - because the maps are exact and
+// chunk boundaries only partition pure, exact GF arithmetic.
 #pragma once
 
 #include <memory>
-#include <mutex>
 
 #include "codes/erasure_code.h"
 
@@ -40,6 +55,10 @@ class Engine;
 }
 
 namespace lds::codes {
+
+namespace detail {
+struct PlanarMaps;  // probed maps of one wrapped code (striped.cpp)
+}
 
 class StripedCode {
  public:
@@ -58,8 +77,7 @@ class StripedCode {
   /// Bytes of helper data per helper for a value of `value_size` bytes.
   std::size_t helper_size(std::size_t value_size) const;
 
-  /// Encode a full value into all n elements (planar SIMD path when the
-  /// wrapped code is linear, reference path otherwise).
+  /// Encode a full value into all n elements.
   std::vector<Bytes> encode_value(const Bytes& value) const;
 
   /// Encode a full value, fanning stripe chunks out across `engine`'s lanes
@@ -69,11 +87,6 @@ class StripedCode {
   /// pure compute, invisible to virtual time).
   std::vector<Bytes> encode_value(const Bytes& value,
                                   net::Engine* engine) const;
-
-  /// Reference stripe-by-stripe encode through the wrapped code.  Kept
-  /// callable for the equivalence tests and as the baseline leg of
-  /// bench_codes_micro; encode_value must match it byte for byte.
-  std::vector<Bytes> encode_value_stripewise(const Bytes& value) const;
 
   /// Encode only element `index`.
   Bytes encode_element(const Bytes& value, int index) const;
@@ -91,39 +104,25 @@ class StripedCode {
   std::optional<Bytes> repair_element(
       int target_index, std::span<const IndexedBytes> helpers) const;
 
- private:
-  /// Per-stripe encode map E and its validity (see file comment).  Shared
-  /// across copies of this StripedCode (the map is a pure function of the
-  /// wrapped code, which is shared too) and built once, thread-safely.
-  struct PlanarMap {
-    std::once_flag once;
-    bool ok = false;
-    std::vector<Bytes> rows;  ///< (n * alpha) rows of B coefficients
-  };
+  /// Reference stripe-by-stripe paths through the wrapped code: the
+  /// fallback for a function that fails its linearity check, the oracle the
+  /// planar paths must match byte for byte, and the baseline legs of
+  /// bench_codes_micro.
+  std::vector<Bytes> encode_value_stripewise(const Bytes& value) const;
+  std::optional<Bytes> decode_value_stripewise(
+      std::span<const IndexedBytes> elements) const;
+  Bytes helper_data_stripewise(int helper_index, const Bytes& element,
+                               int target_index) const;
+  std::optional<Bytes> repair_element_stripewise(
+      int target_index, std::span<const IndexedBytes> helpers) const;
 
+ private:
   Bytes frame(const Bytes& value) const;  // header + pad to stripe multiple
 
-  /// The probed encode map, or null when the wrapped code failed the
-  /// linearity self-check (=> stripe-by-stripe fallback).
-  const PlanarMap* planar_map() const;
-
-  /// Encode stripes [s0, s1) of `framed` into the matching slices of `out`
-  /// through the planar map (rows `row0 <= i*alpha+t < row1` only, so
-  /// encode_element can reuse it).  Pure compute; thread-safe for disjoint
-  /// stripe ranges.
-  void encode_stripe_range(const PlanarMap& map, const std::uint8_t* framed,
-                           std::size_t s0, std::size_t s1, std::size_t row0,
-                           std::size_t row1,
-                           std::span<Bytes> out) const;
-
-  std::vector<Bytes> encode_value_planar(const PlanarMap& map,
-                                         const Bytes& framed) const;
-  std::vector<Bytes> encode_value_lanes(const PlanarMap& map,
-                                        const Bytes& framed,
-                                        net::Engine& engine) const;
-
   std::shared_ptr<const RegeneratingCode> code_;
-  mutable std::shared_ptr<PlanarMap> planar_;
+  /// Shared across copies: the maps are a pure function of the wrapped
+  /// code, which is shared too.
+  std::shared_ptr<detail::PlanarMaps> maps_;
 };
 
 }  // namespace lds::codes

@@ -179,7 +179,9 @@ __attribute__((target("avx2"))) void mul_into_avx2(Elem* z, Elem a,
 }
 
 Elem dot_avx2(const Elem* a, const Elem* b, std::size_t len) {
-  return dot_ssse3(a, b, len);  // dot is not the striped hot path; reuse
+  // dot runs only in StripedCode map probes and the stripewise reference
+  // paths, never on a planar sweep; reuse the SSSE3 kernel.
+  return dot_ssse3(a, b, len);
 }
 
 constexpr Kernels kSsse3Kernels{Isa::Ssse3, axpy_ssse3, mul_into_ssse3,
