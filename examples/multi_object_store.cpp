@@ -88,7 +88,7 @@ int main(int argc, char** argv) {
     const auto results = client.multi_put_sync(std::move(entries));
     for (const auto& r : results) {
       if (!r.ok) {
-        std::printf("multi_put failed: %s\n", r.error.c_str());
+        std::printf("multi_put failed: %s\n", r.status.to_string().c_str());
         return 1;
       }
     }

@@ -163,9 +163,6 @@ class AbdCluster {
     /// LdsCluster::Options::engine); null = own a single-lane SimEngine.
     net::Engine* engine = nullptr;
     std::size_t lane = 0;
-    /// Legacy shorthand for "SimEngine over an external simulator"; ignored
-    /// when `engine` is set.  Must outlive the cluster.
-    net::Simulator* sim = nullptr;
   };
 
   explicit AbdCluster(Options opt);

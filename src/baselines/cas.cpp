@@ -274,10 +274,6 @@ CasCluster::CasCluster(Options opt) : opt_(opt) {
                                                     opt_.tau1));
   if (opt_.engine != nullptr) {
     engine_ = opt_.engine;
-  } else if (opt_.sim != nullptr) {
-    opt_.lane = 0;
-    owned_engine_ = std::make_unique<net::SimEngine>(*opt_.sim, opt_.seed);
-    engine_ = owned_engine_.get();
   } else {
     opt_.lane = 0;
     owned_engine_ = std::make_unique<net::SimEngine>(opt_.seed);

@@ -32,14 +32,9 @@ LdsCluster::LdsCluster(Options opt) : opt_(std::move(opt)) {
   opt_.cfg.validate();
   LDS_REQUIRE(opt_.writers >= 1 && opt_.writers < 9999,
               "LdsCluster: writer count out of range");
-  // Engine resolution: explicit engine lane > external simulator (wrapped in
-  // a SimEngine, the pre-engine sharing pattern) > own a fresh SimEngine.
+  // Engine resolution: explicit engine lane, else own a fresh SimEngine.
   if (opt_.engine != nullptr) {
     engine_ = opt_.engine;
-  } else if (opt_.sim != nullptr) {
-    opt_.lane = 0;
-    owned_engine_ = std::make_unique<net::SimEngine>(*opt_.sim, opt_.seed);
-    engine_ = owned_engine_.get();
   } else {
     opt_.lane = 0;
     owned_engine_ = std::make_unique<net::SimEngine>(opt_.seed);

@@ -53,10 +53,6 @@ class LdsCluster {
     /// The engine must outlive the cluster.
     net::Engine* engine = nullptr;
     std::size_t lane = 0;
-    /// Legacy shorthand for "SimEngine over an external simulator": several
-    /// clusters share one simulated time base.  Ignored when `engine` is
-    /// set; the pointer must outlive the cluster.
-    net::Simulator* sim = nullptr;
     /// Durable L2 mode: when non-empty, every L2 server opens a
     /// storage::DurableBackend under `<data_dir>/l2-<i>`, the cluster
     /// verifies a geometry MANIFEST against any previous incarnation, L1

@@ -122,18 +122,22 @@ Status TcpTransport::listen(std::uint16_t port, Handler on_message) {
   ::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len);
   port_ = ntohs(addr.sin_port);
   set_nonblocking(fd);
-  accept_handler_ = std::move(on_message);
   if (const Status s = ensure_engine(); !s.ok()) {
     ::close(fd);
     return s;
   }
-  listen_fd_ = fd;
+  {
+    std::lock_guard<std::mutex> alk(accept_mu_);
+    accept_handler_ = std::move(on_message);
+    listen_fd_ = fd;
+  }
   epoll_event ev{};
   ev.events = EPOLLIN;
   ev.data.u64 = kListenTag;
   if (::epoll_ctl(shards_[0]->epfd, EPOLL_CTL_ADD, fd, &ev) != 0) {
     const Status s = sys_error("epoll_ctl listen");
     ::close(fd);
+    std::lock_guard<std::mutex> alk(accept_mu_);
     listen_fd_ = -1;
     return s;
   }
@@ -362,9 +366,12 @@ void TcpTransport::stop() {
       sh->epfd = -1;
     }
   }
-  if (listen_fd_ >= 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
+  {
+    std::lock_guard<std::mutex> alk(accept_mu_);
+    if (listen_fd_ >= 0) {
+      ::close(listen_fd_);
+      listen_fd_ = -1;
+    }
   }
   {
     std::lock_guard<std::mutex> tlk(timer_mu_);
@@ -426,12 +433,14 @@ void TcpTransport::wake(Shard& sh) {
 
 void TcpTransport::accept_ready() {
   Handler handler;
+  int listen_fd = -1;
   {
-    std::lock_guard<std::mutex> lk(engine_mu_);
+    std::lock_guard<std::mutex> lk(accept_mu_);
     handler = accept_handler_;
+    listen_fd = listen_fd_;
   }
   while (true) {
-    const int cfd = ::accept(listen_fd_, nullptr, nullptr);
+    const int cfd = ::accept(listen_fd, nullptr, nullptr);
     if (cfd < 0) break;  // EAGAIN: accepted everything pending
     set_nonblocking(cfd);
     set_nodelay(cfd);

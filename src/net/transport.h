@@ -283,7 +283,11 @@ class TcpTransport final : public Transport {
   void run_due_timers();
 
   Options opt_;
-  std::mutex engine_mu_;  ///< guards engine start/stop and listen state
+  std::mutex engine_mu_;  ///< serializes engine start/stop, listen, connect
+  /// Guards what accept_ready() reads (listen_fd_, accept_handler_).  Never
+  /// held across a join: stop() holds engine_mu_ while it joins the shard
+  /// threads, so the accepting thread must not wait on engine_mu_.
+  std::mutex accept_mu_;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::atomic<bool> running_{false};
   std::atomic<bool> stop_{false};

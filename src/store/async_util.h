@@ -1,10 +1,12 @@
 // Internal async plumbing shared by StoreService and store::Client:
 //
-//   * run_op_sync — the one sync-wait cell behind every *_sync wrapper.
-//     Deterministic mode spins the lane-0 simulator (timers and callbacks
-//     fire as events); Parallel mode blocks the calling thread until a lane
-//     completes the op.  notify happens under the lock so the waiter cannot
-//     destroy the cell while the signaling lane still touches it.
+//   * run_op_sync — the one sync-wait cell behind every *_sync wrapper and
+//     every blocking remote client call.  Under the deterministic engine it
+//     spins the lane-0 simulator (timers and callbacks fire as events);
+//     otherwise (Parallel engine, remote client: `sim` null) it blocks the
+//     calling thread until another thread completes the op.  notify
+//     happens under the lock so the waiter cannot destroy the cell while
+//     the signaling thread still touches it.
 //   * Gather — the scatter-gather block behind every multi-key op.
 //     Sub-ops settle on their own lanes; the atomic counter makes the last
 //     completion (wherever it runs) fire the callback exactly once.
@@ -25,8 +27,7 @@
 namespace lds::store::detail {
 
 template <typename R, typename Invoke>
-R run_op_sync(net::Engine& engine, bool parallel, const char* what,
-              Invoke&& invoke) {
+R run_op_sync(net::Simulator* sim, const char* what, Invoke&& invoke) {
   R out{};
   std::mutex mu;
   std::condition_variable cv;
@@ -37,9 +38,8 @@ R run_op_sync(net::Engine& engine, bool parallel, const char* what,
     done = true;
     cv.notify_one();
   });
-  if (!parallel) {
-    net::Simulator& sim = engine.lane_sim(0);
-    while (!done && sim.step()) {
+  if (sim != nullptr) {
+    while (!done && sim->step()) {
     }
     LDS_REQUIRE(done, what);
   } else {
@@ -47,6 +47,13 @@ R run_op_sync(net::Engine& engine, bool parallel, const char* what,
     cv.wait(lk, [&] { return done; });
   }
   return out;
+}
+
+template <typename R, typename Invoke>
+R run_op_sync(net::Engine& engine, bool parallel, const char* what,
+              Invoke&& invoke) {
+  return run_op_sync<R>(parallel ? nullptr : &engine.lane_sim(0), what,
+                        std::forward<Invoke>(invoke));
 }
 
 template <typename ResultT, typename CallbackT>

@@ -1,8 +1,7 @@
 #include "store/client.h"
 
-#include <algorithm>
 #include <chrono>
-#include <thread>
+#include <type_traits>
 
 #include "common/assert.h"
 #include "common/format.h"
@@ -15,6 +14,29 @@ namespace {
 
 std::string deadline_msg(double deadline) {
   return "deadline " + fmt_double(deadline) + " expired";
+}
+
+template <typename R>
+constexpr bool kIsGet = std::is_same_v<R, GetResult>;
+
+/// The closed and empty-key prechecks every operation passes first.
+Status precheck(bool closed, const std::string& key) {
+  if (closed) return Status::Unavailable("client closed");
+  if (key.empty()) return Status::InvalidArgument("empty key");
+  return Status::Ok();
+}
+
+/// The callback forms' contract: a local op completes on the key's lane; a
+/// remote one blocks the caller — submit, wait on a cell — and fires `cb`
+/// inline after the op completes.
+template <typename R, typename Cb, typename Submit>
+void complete(bool remote, Cb cb, Submit&& submit) {
+  if (!remote) {
+    submit(std::move(cb));
+    return;
+  }
+  R r = detail::run_op_sync<R>(nullptr, "", std::forward<Submit>(submit));
+  if (cb) cb(std::move(r));
 }
 
 }  // namespace
@@ -72,205 +94,177 @@ RemoteSession& Client::pick() {
                    remotes_.size()];
 }
 
-PutResult Client::remote_put_op(
-    OpOptions opts, const std::function<PutResult(double)>& attempt) {
-  // The engine-time deadline/retry driver, transliterated to wall-clock
-  // seconds: one budget across all attempts, backoff slept between them.
-  const auto start = std::chrono::steady_clock::now();
-  const auto remaining = [&]() -> double {
-    const double used =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-            .count();
-    return opts.deadline - used;
-  };
-  double backoff = opts.retry.backoff;
-  for (std::size_t n = 1;; ++n) {
-    double budget = 0;  // 0 = unbounded
-    if (opts.deadline > 0) {
-      budget = remaining();
-      if (budget <= 0) {
-        return PutResult::failure(
-            Status::DeadlineExceeded(deadline_msg(opts.deadline)));
-      }
-    }
-    PutResult r = attempt(budget);
-    if (r.ok || !opts.retry.retriable(r.status) ||
-        n >= opts.retry.max_attempts) {
-      return r;
-    }
-    // Never sleep past the deadline: the engine-time driver's timer fires
-    // exactly at expiry, so the wall-clock driver caps the backoff at the
-    // remaining budget (the loop top then reports DeadlineExceeded on
-    // time, not a backoff late).
-    double sleep_s = backoff;
-    if (opts.deadline > 0) {
-      const double rem = remaining();
-      if (rem <= 0) {
-        return PutResult::failure(
-            Status::DeadlineExceeded(deadline_msg(opts.deadline)));
-      }
-      sleep_s = std::min(backoff, rem);
-    }
-    std::this_thread::sleep_for(std::chrono::duration<double>(sleep_s));
-    backoff *= opts.retry.backoff_multiplier;
-  }
-}
+// ---- the op pipeline --------------------------------------------------------
 
-/// One logical put (plain or conditional).  Everything that touches the op
-/// after submission — deadline timer, retries, completion — runs on the
-/// key's shard lane, so `settled` is the only cross-lane rendezvous (the
-/// caller of a sync wrapper reads the result after its own synchronization).
-struct Client::PutOp {
-  std::atomic<bool> settled{false};
-  PutCallback cb;
-
-  /// First settle wins: returns true when this caller should complete.
-  bool settle() { return !settled.exchange(true, std::memory_order_acq_rel); }
-};
-
-struct Client::GetOp {
-  std::atomic<bool> settled{false};
-  GetCallback cb;
-
-  bool settle() { return !settled.exchange(true, std::memory_order_acq_rel); }
-};
-
-// ---- async remote attempt chain ---------------------------------------------
-
-/// One async remote operation across its retries.  The request body is kept
-/// for re-sending (Value copies are refcounted handles, not payload copies);
-/// `done` fires exactly once with the final outcome.  Retries are scheduled
-/// on the session's timer thread, so no caller thread ever sleeps.
-struct Client::AsyncOp {
-  RemoteSession* sess = nullptr;
-  RemoteBody req;
-  OpOptions opts;
+/// One logical operation across its attempts.  The request is kept for
+/// re-sending (Value copies are refcounted handles, not payload copies).  In
+/// process everything after submission runs on the key's shard lane; remote
+/// completions and timers run on the session's transport threads.  Either
+/// way the deadline timer, an attempt's completion and a retry race only
+/// through `settled` (atomic also because multi-op gathers and sync waiters
+/// read results across threads); the retry state is touched by one step of
+/// the attempt chain at a time.
+template <typename R>
+struct Client::Op {
+  std::string key;
+  Value value;                      ///< puts
+  std::optional<Version> expected;  ///< conditional puts
+  OpOptions opts;                   ///< gets: read_mode rides the request
+  std::function<void(const R&)> cb;
   std::size_t attempt = 1;
   double backoff = 0;
-  std::chrono::steady_clock::time_point start;
-  std::function<void(Status, RemoteReply)> done;
+  RemoteSession* sess = nullptr;  ///< remote: the op's pool connection
+  std::chrono::steady_clock::time_point began;  ///< remote: budget clock
+  /// Remote: the deadline timer, cancelled once the op settles so it does
+  /// not hold the op until the deadline passes.
+  std::atomic<std::uint64_t> expiry{0};
+  std::atomic<bool> settled{false};
 
-  double remaining() const {
-    const double used = std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() - start)
-                            .count();
-    return opts.deadline - used;
+  /// First settle wins; a later result (late reply, expired timer) drops.
+  void finish(const R& r) {
+    if (settled.exchange(true, std::memory_order_acq_rel)) return;
+    if (sess != nullptr) sess->cancel(expiry.load(std::memory_order_acquire));
+    if (cb) cb(r);
   }
 };
 
-void Client::remote_attempt(std::shared_ptr<AsyncOp> op) {
-  double budget = 0;  // 0 = unbounded
-  if (op->opts.deadline > 0) {
-    budget = op->remaining();
-    if (budget <= 0) {
-      op->done(Status::DeadlineExceeded(deadline_msg(op->opts.deadline)),
-               RemoteReply{});
+template <typename R>
+void Client::start(std::shared_ptr<Op<R>> op) {
+  op->backoff = op->opts.retry.backoff;
+  auto run = [this, op] {
+    if (op->opts.deadline > 0) {
+      // Expiry completes the op; an attempt still in flight is left to
+      // finish and its late result is dropped.
+      op->expiry.store(
+          schedule(op, op->opts.deadline,
+                   [op] {
+                     op->finish(R::failure(Status::DeadlineExceeded(
+                         deadline_msg(op->opts.deadline))));
+                   }),
+          std::memory_order_release);
+    }
+    attempt(op);
+  };
+  if (remote()) {
+    op->sess = &pick();
+    op->began = std::chrono::steady_clock::now();
+    run();
+    return;
+  }
+  // Hop to the shard's lane first: the deadline timer must be armed with
+  // after_here on the lane whose clock the operation runs against.
+  svc_->engine().post(lane_of_key(op->key), std::move(run));
+}
+
+template <typename R>
+void Client::attempt(std::shared_ptr<Op<R>> op) {
+  if (op->settled.load(std::memory_order_acquire)) return;  // deadline won
+  send<R>(op, [this, op](const R& r) {
+    if (op->settled.load(std::memory_order_acquire)) return;  // deadline won
+    const RetryPolicy& retry = op->opts.retry;
+    if (!r.ok && retry.retriable(r.status) &&
+        op->attempt < retry.max_attempts) {
+      const double delay = op->backoff;
+      ++op->attempt;
+      op->backoff *= retry.backoff_multiplier;
+      schedule(op, delay, [this, op] { attempt(op); });
       return;
     }
+    op->finish(r);
+  });
+}
+
+template <typename R>
+void Client::send(const std::shared_ptr<Op<R>>& op,
+                  std::function<void(const R&)> done) {
+  if (!remote()) {
+    if constexpr (kIsGet<R>) {
+      svc_->get(op->key, std::move(done), op->opts.read_mode);
+    } else if (op->expected.has_value()) {
+      svc_->put_if(op->key, op->value, *op->expected, std::move(done));
+    } else {
+      svc_->put(op->key, op->value, std::move(done));
+    }
+    return;
+  }
+  double budget = 0;  // 0 = unbounded
+  if (op->opts.deadline > 0) {
+    // The attempt carries what is left of the op's budget, so the session
+    // drops its pending entry at expiry too.
+    budget = op->opts.deadline -
+             std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                           op->began)
+                 .count();
+    if (budget <= 0) return;  // the op's deadline timer settles it
+  }
+  RemoteBody req;
+  if constexpr (kIsGet<R>) {
+    req = RemoteGet{op->key, op->opts.read_mode};
+  } else if (op->expected.has_value()) {
+    req = RemotePutIf{op->key, op->value, *op->expected};
+  } else {
+    req = RemotePut{op->key, op->value};
   }
   op->sess->async_call(
-      RemoteBody(op->req), budget, [this, op](Status st, RemoteReply r) {
-        const bool retriable =
-            st.ok() &&
-            op->opts.retry.retriable(Status::FromCode(r.code, r.message)) &&
-            op->attempt < op->opts.retry.max_attempts;
-        if (!retriable) {
-          op->done(std::move(st), std::move(r));
-          return;
-        }
-        ++op->attempt;
-        double delay = op->backoff;
-        op->backoff *= op->opts.retry.backoff_multiplier;
-        if (op->opts.deadline > 0) {
-          const double rem = op->remaining();
-          if (rem <= 0) {
-            op->done(
-                Status::DeadlineExceeded(deadline_msg(op->opts.deadline)),
-                RemoteReply{});
-            return;
-          }
-          // Never sleep past the deadline; the attempt after the capped
-          // backoff reports DeadlineExceeded on time.
-          delay = std::min(delay, rem);
-        }
-        if (!op->sess->after(delay, [this, op] { remote_attempt(op); })) {
-          op->done(Status::Unavailable("session closed"), RemoteReply{});
+      std::move(req), budget,
+      [done = std::move(done)](Status st, RemoteReply reply) {
+        if (!st.ok()) {
+          done(R::failure(std::move(st)));
+        } else if constexpr (kIsGet<R>) {
+          done(to_get_result(reply));
+        } else {
+          done(to_put_result(reply));
         }
       });
 }
 
-// ---- async submission cores --------------------------------------------------
-
-void Client::submit_put(const std::string& key, Value value, PutCallback cb,
-                        OpOptions opts) {
-  if (cache_ != nullptr) cb = wrap_put_cb(key, value, std::move(cb));
-  if (closed()) {
-    cb(PutResult::failure(Status::Unavailable("client closed")));
-    return;
+template <typename R>
+std::uint64_t Client::schedule(const std::shared_ptr<Op<R>>& op, double delay,
+                               std::function<void()> fn) {
+  if (!remote()) {
+    svc_->engine().after_here(delay, std::move(fn));
+    return 0;
   }
-  if (key.empty()) {
-    cb(PutResult::failure(Status::InvalidArgument("empty key")));
-    return;
-  }
-  if (remote()) {
-    auto op = std::make_shared<AsyncOp>();
-    op->sess = &pick();
-    op->req = RemotePut{key, std::move(value)};
-    op->opts = opts;
-    op->backoff = opts.retry.backoff;
-    op->start = std::chrono::steady_clock::now();
-    op->done = [cb = std::move(cb)](Status st, RemoteReply r) {
-      cb(st.ok() ? to_put_result(r) : PutResult::failure(std::move(st)));
-    };
-    remote_attempt(std::move(op));
-    return;
-  }
-  run_put_op(key, std::move(value), opts, std::move(cb),
-             [this](const std::string& k, Value v,
-                    StoreService::PutCallback pcb) {
-               svc_->put(k, std::move(v), std::move(pcb));
-             });
+  // A session timer is cancelled with the connection: the op then fails
+  // with the session's status instead of waiting for a timer that is gone.
+  return op->sess->after(
+      delay, [op, fn = std::move(fn)](Status st, RemoteReply) {
+        if (st.ok()) {
+          fn();
+        } else {
+          op->finish(R::failure(std::move(st)));
+        }
+      });
 }
 
-void Client::submit_put_if(const std::string& key, Value value,
-                           Version expected, PutCallback cb, OpOptions opts) {
+net::Simulator* Client::sync_sim() {
+  if (svc_ == nullptr || svc_->parallel()) return nullptr;
+  return &svc_->engine().lane_sim(0);
+}
+
+// ---- submission cores -------------------------------------------------------
+
+void Client::submit_put(const std::string& key, Value value,
+                        std::optional<Version> expected, PutCallback cb,
+                        OpOptions opts) {
   if (cache_ != nullptr) cb = wrap_put_cb(key, value, std::move(cb));
-  if (closed()) {
-    cb(PutResult::failure(Status::Unavailable("client closed")));
+  if (Status s = precheck(closed(), key); !s.ok()) {
+    if (cb) cb(PutResult::failure(std::move(s)));
     return;
   }
-  if (key.empty()) {
-    cb(PutResult::failure(Status::InvalidArgument("empty key")));
-    return;
-  }
-  if (remote()) {
-    auto op = std::make_shared<AsyncOp>();
-    op->sess = &pick();
-    op->req = RemotePutIf{key, std::move(value), expected};
-    op->opts = opts;
-    op->backoff = opts.retry.backoff;
-    op->start = std::chrono::steady_clock::now();
-    op->done = [cb = std::move(cb)](Status st, RemoteReply r) {
-      cb(st.ok() ? to_put_result(r) : PutResult::failure(std::move(st)));
-    };
-    remote_attempt(std::move(op));
-    return;
-  }
-  run_put_op(key, std::move(value), opts, std::move(cb),
-             [this, expected](const std::string& k, Value v,
-                              StoreService::PutCallback pcb) {
-               svc_->put_if(k, std::move(v), expected, std::move(pcb));
-             });
+  auto op = std::make_shared<Op<PutResult>>();
+  op->key = key;
+  op->value = std::move(value);
+  op->expected = expected;
+  op->opts = opts;
+  op->cb = std::move(cb);
+  start(std::move(op));
 }
 
 void Client::submit_get(const std::string& key, GetCallback cb,
                         OpOptions opts) {
-  if (closed()) {
-    cb(GetResult::failure(Status::Unavailable("client closed")));
-    return;
-  }
-  if (key.empty()) {
-    cb(GetResult::failure(Status::InvalidArgument("empty key")));
+  if (Status s = precheck(closed(), key); !s.ok()) {
+    if (cb) cb(GetResult::failure(std::move(s)));
     return;
   }
   if (cache_applies(opts.read_mode)) {
@@ -280,20 +274,119 @@ void Client::submit_get(const std::string& key, GetCallback cb,
   raw_get(key, std::move(cb), opts);
 }
 
+void Client::raw_get(const std::string& key, GetCallback cb, OpOptions opts) {
+  auto op = std::make_shared<Op<GetResult>>();
+  op->key = key;
+  op->opts = opts;
+  op->cb = std::move(cb);
+  start(std::move(op));
+}
+
+void Client::submit_multi_get(std::vector<std::string> keys,
+                              MultiGetCallback cb, OpOptions opts) {
+  if (keys.empty()) {  // fire exactly once — an empty gather never completes
+    cb({});
+    return;
+  }
+  // Every sub-get is submitted before the first completes, so a remote
+  // batch costs one round trip, not keys.size() of them.
+  auto gather = detail::make_gather<GetResult>(keys.size(), std::move(cb));
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    submit_get(keys[i],
+               [gather, i](const GetResult& r) {
+                 detail::gather_finish(gather, i, r);
+               },
+               opts);
+  }
+}
+
+void Client::submit_multi_put(std::vector<KeyValue> entries,
+                              MultiPutCallback cb, OpOptions opts) {
+  if (entries.empty()) {
+    cb({});
+    return;
+  }
+  auto gather = detail::make_gather<PutResult>(entries.size(), std::move(cb));
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    submit_put(entries[i].key, std::move(entries[i].value), std::nullopt,
+               [gather, i](const PutResult& r) {
+                 detail::gather_finish(gather, i, r);
+               },
+               opts);
+  }
+}
+
+// ---- callback API -----------------------------------------------------------
+
+void Client::put(const std::string& key, Value value, PutCallback cb,
+                 OpOptions opts) {
+  complete<PutResult>(remote(), std::move(cb), [&](auto done) {
+    submit_put(key, std::move(value), std::nullopt, std::move(done), opts);
+  });
+}
+
+void Client::put_if_version(const std::string& key, Value value,
+                            Version expected, PutCallback cb, OpOptions opts) {
+  complete<PutResult>(remote(), std::move(cb), [&](auto done) {
+    submit_put(key, std::move(value), expected, std::move(done), opts);
+  });
+}
+
+void Client::get(const std::string& key, GetCallback cb, OpOptions opts) {
+  complete<GetResult>(remote(), std::move(cb), [&](auto done) {
+    submit_get(key, std::move(done), opts);
+  });
+}
+
+void Client::multi_get(std::vector<std::string> keys, MultiGetCallback cb,
+                       OpOptions opts) {
+  LDS_REQUIRE(cb != nullptr, "Client::multi_get: null callback");
+  complete<std::vector<GetResult>>(remote(), std::move(cb), [&](auto done) {
+    submit_multi_get(std::move(keys), std::move(done), opts);
+  });
+}
+
+void Client::multi_put(std::vector<KeyValue> entries, MultiPutCallback cb,
+                       OpOptions opts) {
+  LDS_REQUIRE(cb != nullptr, "Client::multi_put: null callback");
+  complete<std::vector<PutResult>>(remote(), std::move(cb), [&](auto done) {
+    submit_multi_put(std::move(entries), std::move(done), opts);
+  });
+}
+
 // ---- completion-queue API ----------------------------------------------------
+
+template <typename R>
+std::function<void(const R&)> Client::enqueue(std::uint64_t h,
+                                              Completion::Kind kind,
+                                              const std::string& key) {
+  cq_.start();
+  return [this, h, kind, key](const R& r) {
+    Completion c;
+    c.handle = h;
+    c.kind = kind;
+    c.key = key;
+    if constexpr (kIsGet<R>) {
+      c.get = r;
+    } else {
+      c.put = r;
+    }
+    cq_.push(std::move(c));
+  };
+}
 
 std::uint64_t Client::async_put(const std::string& key, Value value,
                                 PutCallback cb, OpOptions opts) {
   LDS_REQUIRE(cb != nullptr, "Client::async_put: null callback");
-  const std::uint64_t h = next_handle_.fetch_add(1, std::memory_order_relaxed);
-  submit_put(key, std::move(value), std::move(cb), opts);
+  const std::uint64_t h = next_handle();
+  submit_put(key, std::move(value), std::nullopt, std::move(cb), opts);
   return h;
 }
 
 std::uint64_t Client::async_get(const std::string& key, GetCallback cb,
                                 OpOptions opts) {
   LDS_REQUIRE(cb != nullptr, "Client::async_get: null callback");
-  const std::uint64_t h = next_handle_.fetch_add(1, std::memory_order_relaxed);
+  const std::uint64_t h = next_handle();
   submit_get(key, std::move(cb), opts);
   return h;
 }
@@ -302,259 +395,91 @@ std::uint64_t Client::async_put_if(const std::string& key, Value value,
                                    Version expected, PutCallback cb,
                                    OpOptions opts) {
   LDS_REQUIRE(cb != nullptr, "Client::async_put_if: null callback");
-  const std::uint64_t h = next_handle_.fetch_add(1, std::memory_order_relaxed);
-  submit_put_if(key, std::move(value), expected, std::move(cb), opts);
+  const std::uint64_t h = next_handle();
+  submit_put(key, std::move(value), expected, std::move(cb), opts);
   return h;
 }
 
 std::uint64_t Client::async_put(const std::string& key, Value value,
                                 OpOptions opts) {
-  const std::uint64_t h = next_handle_.fetch_add(1, std::memory_order_relaxed);
-  cq_.start();
-  submit_put(key, std::move(value),
-             [this, h, key](const PutResult& r) {
-               Completion c;
-               c.handle = h;
-               c.kind = Completion::Kind::Put;
-               c.key = key;
-               c.put = r;
-               cq_.push(std::move(c));
-             },
-             opts);
+  const std::uint64_t h = next_handle();
+  submit_put(key, std::move(value), std::nullopt,
+             enqueue<PutResult>(h, Completion::Kind::Put, key), opts);
   return h;
 }
 
 std::uint64_t Client::async_get(const std::string& key, OpOptions opts) {
-  const std::uint64_t h = next_handle_.fetch_add(1, std::memory_order_relaxed);
-  cq_.start();
-  submit_get(key,
-             [this, h, key](const GetResult& r) {
-               Completion c;
-               c.handle = h;
-               c.kind = Completion::Kind::Get;
-               c.key = key;
-               c.get = r;
-               cq_.push(std::move(c));
-             },
-             opts);
+  const std::uint64_t h = next_handle();
+  submit_get(key, enqueue<GetResult>(h, Completion::Kind::Get, key), opts);
   return h;
 }
 
 std::uint64_t Client::async_put_if(const std::string& key, Value value,
                                    Version expected, OpOptions opts) {
-  const std::uint64_t h = next_handle_.fetch_add(1, std::memory_order_relaxed);
-  cq_.start();
-  submit_put_if(key, std::move(value), expected,
-                [this, h, key](const PutResult& r) {
-                  Completion c;
-                  c.handle = h;
-                  c.kind = Completion::Kind::PutIf;
-                  c.key = key;
-                  c.put = r;
-                  cq_.push(std::move(c));
-                },
-                opts);
+  const std::uint64_t h = next_handle();
+  submit_put(key, std::move(value), expected,
+             enqueue<PutResult>(h, Completion::Kind::PutIf, key), opts);
   return h;
 }
 
-// ---- puts (plain and conditional share one deadline/retry driver) -----------
+// ---- sync wrappers ----------------------------------------------------------
 
-void Client::put(const std::string& key, Value value, PutCallback cb,
-                 OpOptions opts) {
-  if (cache_ != nullptr) cb = wrap_put_cb(key, value, std::move(cb));
-  if (remote()) {
-    PutResult r;
-    if (closed()) {
-      r = PutResult::failure(Status::Unavailable("client closed"));
-    } else if (key.empty()) {
-      r = PutResult::failure(Status::InvalidArgument("empty key"));
-    } else {
-      r = remote_put_op(opts, [&](double deadline_s) {
-        return pick().put(key, value, deadline_s);
+using detail::run_op_sync;
+
+Result<Version> Client::put_sync(const std::string& key, Value value,
+                                 OpOptions opts) {
+  const PutResult r = run_op_sync<PutResult>(
+      sync_sim(), "Client::put_sync: simulation drained before completion",
+      [&](auto done) {
+        submit_put(key, std::move(value), std::nullopt, std::move(done), opts);
       });
-    }
-    if (cb) cb(r);
-    return;
-  }
-  run_put_op(key, std::move(value), opts, std::move(cb),
-             [this](const std::string& k, Value v,
-                    StoreService::PutCallback pcb) {
-               svc_->put(k, std::move(v), std::move(pcb));
-             });
+  if (!r.ok) return r.status;
+  return r.version;
 }
 
-void Client::put_if_version(const std::string& key, Value value,
-                            Version expected, PutCallback cb, OpOptions opts) {
-  if (cache_ != nullptr) cb = wrap_put_cb(key, value, std::move(cb));
-  if (remote()) {
-    PutResult r;
-    if (closed()) {
-      r = PutResult::failure(Status::Unavailable("client closed"));
-    } else if (key.empty()) {
-      r = PutResult::failure(Status::InvalidArgument("empty key"));
-    } else {
-      r = remote_put_op(opts, [&](double deadline_s) {
-        return pick().put_if(key, value, expected, deadline_s);
-      });
-    }
-    if (cb) cb(r);
-    return;
-  }
-  run_put_op(key, std::move(value), opts, std::move(cb),
-             [this, expected](const std::string& k, Value v,
-                              StoreService::PutCallback pcb) {
-               svc_->put_if(k, std::move(v), expected, std::move(pcb));
-             });
+Result<VersionedValue> Client::get_sync(const std::string& key,
+                                        OpOptions opts) {
+  const GetResult r = run_op_sync<GetResult>(
+      sync_sim(), "Client::get_sync: simulation drained before completion",
+      [&](auto done) { submit_get(key, std::move(done), opts); });
+  if (!r.ok) return r.status;
+  return VersionedValue{r.version, r.value};
 }
 
-void Client::run_put_op(const std::string& key, Value value, OpOptions opts,
-                        PutCallback cb, PutSubmit submit) {
-  if (closed()) {
-    if (cb) cb(PutResult::failure(Status::Unavailable("client closed")));
-    return;
-  }
-  if (key.empty()) {
-    if (cb) cb(PutResult::failure(Status::InvalidArgument("empty key")));
-    return;
-  }
-  auto op = std::make_shared<PutOp>();
-  op->cb = std::move(cb);
-  const std::size_t lane = lane_of_key(key);
-  // Hop to the shard's lane first: the deadline timer must be armed with
-  // after_here on the lane whose clock the operation runs against.
-  svc_->engine().post(lane, [this, key, value = std::move(value), opts, op,
-                             submit = std::make_shared<PutSubmit>(
-                                 std::move(submit))]() mutable {
-    if (opts.deadline > 0) {
-      svc_->engine().after_here(opts.deadline, [op, opts] {
-        if (!op->settle()) return;
-        if (op->cb) {
-          op->cb(PutResult::failure(
-              Status::DeadlineExceeded(deadline_msg(opts.deadline))));
-        }
+Result<Version> Client::put_if_version_sync(const std::string& key,
+                                            Value value, Version expected,
+                                            OpOptions opts) {
+  const PutResult r = run_op_sync<PutResult>(
+      sync_sim(),
+      "Client::put_if_version_sync: simulation drained before completion",
+      [&](auto done) {
+        submit_put(key, std::move(value), expected, std::move(done), opts);
       });
-    }
-    attempt_put_op(key, std::move(value), opts, std::move(op), 1,
-                   opts.retry.backoff, std::move(submit));
-  });
+  if (!r.ok) return r.status;
+  return r.version;
 }
 
-void Client::attempt_put_op(const std::string& key, Value value,
-                            OpOptions opts, std::shared_ptr<PutOp> op,
-                            std::size_t attempt, double backoff,
-                            std::shared_ptr<PutSubmit> submit) {
-  // The value is a shared handle, so keeping a copy for a potential retry
-  // costs a refcount, not a payload copy.
-  (*submit)(key, value, [this, key, value, opts, op, attempt, backoff,
-                         submit](const PutResult& r) mutable {
-    if (op->settled.load(std::memory_order_acquire)) return;  // deadline won
-    if (!r.ok && opts.retry.retriable(r.status) &&
-        attempt < opts.retry.max_attempts) {
-      svc_->engine().after_here(backoff, [this, key, value = std::move(value),
-                                          opts, op = std::move(op), attempt,
-                                          backoff,
-                                          submit = std::move(submit)]() mutable {
-        if (op->settled.load(std::memory_order_acquire)) return;
-        attempt_put_op(key, std::move(value), opts, std::move(op), attempt + 1,
-                       backoff * opts.retry.backoff_multiplier,
-                       std::move(submit));
+std::vector<GetResult> Client::multi_get_sync(std::vector<std::string> keys,
+                                              OpOptions opts) {
+  return run_op_sync<std::vector<GetResult>>(
+      sync_sim(),
+      "Client::multi_get_sync: simulation drained before completion",
+      [&](auto done) {
+        submit_multi_get(std::move(keys), std::move(done), opts);
       });
-      return;
-    }
-    if (!op->settle()) return;
-    if (op->cb) op->cb(r);
-  });
 }
 
-// ---- gets -------------------------------------------------------------------
-
-void Client::get(const std::string& key, GetCallback cb, OpOptions opts) {
-  if (closed()) {
-    if (cb) cb(GetResult::failure(Status::Unavailable("client closed")));
-    return;
-  }
-  if (key.empty()) {
-    if (cb) cb(GetResult::failure(Status::InvalidArgument("empty key")));
-    return;
-  }
-  if (remote()) {
-    if (cache_applies(opts.read_mode)) {
-      // Preserve the documented blocking contract around the async cache
-      // path (TTL hits complete inline; validation/fill rounds complete on
-      // transport threads).
-      GetResult out;
-      std::mutex mu;
-      std::condition_variable cv;
-      bool done = false;
-      cached_get(
-          key,
-          [&](const GetResult& r) {
-            {
-              std::lock_guard<std::mutex> lk(mu);
-              out = r;
-              done = true;
-            }
-            cv.notify_one();
-          },
-          opts);
-      std::unique_lock<std::mutex> lk(mu);
-      cv.wait(lk, [&] { return done; });
-      lk.unlock();
-      if (cb) cb(out);
-      return;
-    }
-    // Gets have no retriable failure; one blocking RPC under the deadline.
-    const GetResult r = pick().get(key, opts.read_mode, opts.deadline);
-    if (cb) cb(r);
-    return;
-  }
-  if (cache_applies(opts.read_mode)) {
-    cached_get(key, std::move(cb), opts);
-    return;
-  }
-  local_get(key, std::move(cb), opts);
-}
-
-void Client::local_get(const std::string& key, GetCallback cb,
-                       OpOptions opts) {
-  auto op = std::make_shared<GetOp>();
-  op->cb = std::move(cb);
-  const std::size_t lane = lane_of_key(key);
-  svc_->engine().post(lane, [this, key, opts, op]() mutable {
-    if (opts.deadline > 0) {
-      svc_->engine().after_here(opts.deadline, [op, opts] {
-        if (!op->settle()) return;
-        if (op->cb) {
-          op->cb(GetResult::failure(
-              Status::DeadlineExceeded(deadline_msg(opts.deadline))));
-        }
+std::vector<PutResult> Client::multi_put_sync(std::vector<KeyValue> entries,
+                                              OpOptions opts) {
+  return run_op_sync<std::vector<PutResult>>(
+      sync_sim(),
+      "Client::multi_put_sync: simulation drained before completion",
+      [&](auto done) {
+        submit_multi_put(std::move(entries), std::move(done), opts);
       });
-    }
-    svc_->get(
-        key,
-        [op](const GetResult& r) {
-          if (!op->settle()) return;  // deadline won; drop the late result
-          if (op->cb) op->cb(r);
-        },
-        opts.read_mode);
-  });
 }
 
 // ---- read cache -------------------------------------------------------------
-
-void Client::raw_get(const std::string& key, GetCallback cb, OpOptions opts) {
-  if (remote()) {
-    // Gets have no retriable failure: one pipelined RPC under the deadline.
-    pick().async_call(RemoteGet{key, opts.read_mode}, opts.deadline,
-                      [cb = std::move(cb)](Status st, RemoteReply r) {
-                        if (!cb) return;
-                        cb(st.ok() ? to_get_result(r)
-                                   : GetResult::failure(std::move(st)));
-                      });
-    return;
-  }
-  local_get(key, std::move(cb), opts);
-}
 
 double Client::cache_now() const {
   if (svc_ != nullptr && !svc_->parallel()) return svc_->sim().now();
@@ -656,186 +581,6 @@ Client::PutCallback Client::wrap_put_cb(const std::string& key,
     }
     if (cb) cb(r);
   };
-}
-
-// ---- multi-key scatter-gather -----------------------------------------------
-
-void Client::multi_get(std::vector<std::string> keys, MultiGetCallback cb,
-                       OpOptions opts) {
-  LDS_REQUIRE(cb != nullptr, "Client::multi_get: null callback");
-  if (keys.empty()) {  // fire exactly once — an empty gather never completes
-    cb({});
-    return;
-  }
-  if (remote()) {
-    // Concurrent fan-out over the connection pool: every sub-get is
-    // pipelined before the first reply is awaited, so the batch costs one
-    // round-trip, not keys.size() of them.  The callback still fires
-    // inline on this thread (the documented remote contract).
-    const std::size_t n = keys.size();
-    std::vector<GetResult> results(n);
-    std::mutex mu;
-    std::condition_variable cv;
-    std::size_t left = n;
-    for (std::size_t i = 0; i < n; ++i) {
-      submit_get(
-          keys[i],
-          [&, i](const GetResult& r) {
-            std::lock_guard<std::mutex> lk(mu);
-            results[i] = r;
-            if (--left == 0) cv.notify_one();
-          },
-          opts);
-    }
-    std::unique_lock<std::mutex> lk(mu);
-    cv.wait(lk, [&] { return left == 0; });
-    lk.unlock();
-    cb(std::move(results));
-    return;
-  }
-  auto gather = detail::make_gather<GetResult>(keys.size(), std::move(cb));
-  for (std::size_t i = 0; i < keys.size(); ++i) {
-    get(keys[i],
-        [gather, i](const GetResult& r) {
-          detail::gather_finish(gather, i, r);
-        },
-        opts);
-  }
-}
-
-void Client::multi_put(std::vector<KeyValue> entries, MultiPutCallback cb,
-                       OpOptions opts) {
-  LDS_REQUIRE(cb != nullptr, "Client::multi_put: null callback");
-  if (entries.empty()) {
-    cb({});
-    return;
-  }
-  if (remote()) {
-    const std::size_t n = entries.size();
-    std::vector<PutResult> results(n);
-    std::mutex mu;
-    std::condition_variable cv;
-    std::size_t left = n;
-    for (std::size_t i = 0; i < n; ++i) {
-      submit_put(
-          entries[i].key, std::move(entries[i].value),
-          [&, i](const PutResult& r) {
-            std::lock_guard<std::mutex> lk(mu);
-            results[i] = r;
-            if (--left == 0) cv.notify_one();
-          },
-          opts);
-    }
-    std::unique_lock<std::mutex> lk(mu);
-    cv.wait(lk, [&] { return left == 0; });
-    lk.unlock();
-    cb(std::move(results));
-    return;
-  }
-  auto gather = detail::make_gather<PutResult>(entries.size(), std::move(cb));
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    put(entries[i].key, std::move(entries[i].value),
-        [gather, i](const PutResult& r) {
-          detail::gather_finish(gather, i, r);
-        },
-        opts);
-  }
-}
-
-// ---- sync wrappers ----------------------------------------------------------
-
-using detail::run_op_sync;
-
-Result<Version> Client::put_sync(const std::string& key, Value value,
-                                 OpOptions opts) {
-  if (remote()) {
-    // Remote async ops block inline, so the callback has fired by return.
-    PutResult rr;
-    put(key, std::move(value), [&rr](const PutResult& pr) { rr = pr; }, opts);
-    if (!rr.ok) return rr.status;
-    return rr.version;
-  }
-  const PutResult r = run_op_sync<PutResult>(
-      svc_->engine(), svc_->parallel(),
-      "Client::put_sync: simulation drained before completion",
-      [&](auto done) {
-        put(key, std::move(value),
-            [done = std::move(done)](const PutResult& pr) { done(pr); },
-            opts);
-      });
-  if (!r.ok) return r.status;
-  return r.version;
-}
-
-Result<VersionedValue> Client::get_sync(const std::string& key,
-                                        OpOptions opts) {
-  if (remote()) {
-    GetResult rr;
-    get(key, [&rr](const GetResult& gr) { rr = gr; }, opts);
-    if (!rr.ok) return rr.status;
-    return VersionedValue{rr.version, rr.value};
-  }
-  const GetResult r = run_op_sync<GetResult>(
-      svc_->engine(), svc_->parallel(),
-      "Client::get_sync: simulation drained before completion",
-      [&](auto done) {
-        get(key, [done = std::move(done)](const GetResult& gr) { done(gr); },
-            opts);
-      });
-  if (!r.ok) return r.status;
-  return VersionedValue{r.version, r.value};
-}
-
-Result<Version> Client::put_if_version_sync(const std::string& key,
-                                            Value value, Version expected,
-                                            OpOptions opts) {
-  if (remote()) {
-    PutResult rr;
-    put_if_version(key, std::move(value), expected,
-                   [&rr](const PutResult& pr) { rr = pr; }, opts);
-    if (!rr.ok) return rr.status;
-    return rr.version;
-  }
-  const PutResult r = run_op_sync<PutResult>(
-      svc_->engine(), svc_->parallel(),
-      "Client::put_if_version_sync: simulation drained before completion",
-      [&](auto done) {
-        put_if_version(
-            key, std::move(value), expected,
-            [done = std::move(done)](const PutResult& pr) { done(pr); }, opts);
-      });
-  if (!r.ok) return r.status;
-  return r.version;
-}
-
-std::vector<GetResult> Client::multi_get_sync(std::vector<std::string> keys,
-                                              OpOptions opts) {
-  if (remote()) {
-    std::vector<GetResult> rr;
-    multi_get(std::move(keys), [&rr](std::vector<GetResult> v) {
-      rr = std::move(v);
-    }, opts);
-    return rr;
-  }
-  return run_op_sync<std::vector<GetResult>>(
-      svc_->engine(), svc_->parallel(),
-      "Client::multi_get_sync: simulation drained before completion",
-      [&](auto done) { multi_get(std::move(keys), std::move(done), opts); });
-}
-
-std::vector<PutResult> Client::multi_put_sync(std::vector<KeyValue> entries,
-                                              OpOptions opts) {
-  if (remote()) {
-    std::vector<PutResult> rr;
-    multi_put(std::move(entries), [&rr](std::vector<PutResult> v) {
-      rr = std::move(v);
-    }, opts);
-    return rr;
-  }
-  return run_op_sync<std::vector<PutResult>>(
-      svc_->engine(), svc_->parallel(),
-      "Client::multi_put_sync: simulation drained before completion",
-      [&](auto done) { multi_put(std::move(entries), std::move(done), opts); });
 }
 
 }  // namespace lds::store

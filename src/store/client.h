@@ -35,19 +35,29 @@
 //     (cache_hits/misses/validation_rounds/invalidations,
 //     wire_value_bytes_saved, ...) land in metrics().
 //
+// One op pipeline: every operation — put, conditional put, get, local or
+// remote — enters one of two submission cores (puts, gets), passes the
+// closed/empty-key prechecks and the cache wrapping there, and runs under
+// ONE deadline/retry driver.  The mode supplies only how an attempt is sent
+// (a StoreService call on the key's lane, or a pipelined RPC carrying the
+// remaining budget) and how a delay is scheduled (an engine timer on the
+// key's lane, or the session's transport timer).  Multi-key ops gather
+// their sub-operations over the same cores.
+//
 // Remote-connect mode (Client::connect): the same API over a pool of TCP
 // connections to a served StoreService (store/remote.h, tools/lds_served.cpp).
 // The differences are inherent to leaving the address space:
 // OpOptions::deadline and RetryPolicy backoffs are wall-clock SECONDS
-// (engine time does not exist on this side of the socket), put/get/
-// put_if_version callbacks are invoked inline after the blocking RPC
-// completes, and nothing is deterministic.  ReadMode still applies (the
-// mode rides the request).  multi_get/multi_put pipeline their
-// sub-operations concurrently across the pool — a batch costs one round
-// trip — and the completion-queue API below (async_put/async_get/
-// async_put_if + CompletionQueue) submits without blocking at all:
-// completions surface on the transport's progress threads, deadlines on
-// its timer thread, retries without occupying a caller thread.
+// (engine time does not exist on this side of the socket), and nothing is
+// deterministic.  ReadMode still applies (the mode rides the request).
+// The blocking forms — put/get/put_if_version/multi_* with callbacks and
+// every *_sync wrapper — submit the async op and wait on a cell, so their
+// callbacks are invoked inline after the op completes; multi_get/multi_put
+// pipeline their sub-operations across the pool (a batch costs one round
+// trip).  The completion-queue API below (async_put/async_get/async_put_if
+// + CompletionQueue) submits without blocking at all: completions surface
+// on the transport's progress threads, deadlines and retries on its timer
+// thread, without occupying a caller thread.
 //
 // Values are zero-copy handles end to end: the buffer a caller puts is the
 // buffer the batch window queues, the writer fans out, and the L1 servers
@@ -64,6 +74,7 @@
 #include <deque>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -272,7 +283,7 @@ class Client {
 
   // ---- sync wrappers (Status idiom) -----------------------------------------
   // Deterministic mode drives the simulator until the op settles; Parallel
-  // mode blocks the calling thread.
+  // and remote mode block the calling thread.
   Result<Version> put_sync(const std::string& key, Value value,
                            OpOptions opts = {});
   Result<VersionedValue> get_sync(const std::string& key, OpOptions opts = {});
@@ -310,18 +321,10 @@ class Client {
   }
 
  private:
-  /// Mutable per-op coordination: lives on the op's lane; `settled` is
-  /// atomic only because multi-op gathers read results across lanes.
-  struct PutOp;
-  struct GetOp;
-  /// How one attempt of a put-like op is submitted to the service (plain
-  /// put, or put_if with a bound expected version).  Type-erased so the
-  /// deadline/retry driver exists once.
-  using PutSubmit =
-      std::function<void(const std::string&, Value, StoreService::PutCallback)>;
-
-  /// Async remote attempt chain (retry state; see client.cpp).
-  struct AsyncOp;
+  /// One logical operation across its attempts (R = PutResult or GetResult;
+  /// see client.cpp).
+  template <typename R>
+  struct Op;
 
   Client(std::vector<std::unique_ptr<RemoteSession>> remotes,
          CacheOptions cache);
@@ -331,27 +334,42 @@ class Client {
   }
   /// Round-robin over the connection pool (remote mode only).
   RemoteSession& pick();
-  /// Remote path shared by put and put_if_version: wall-clock deadline +
-  /// bounded-backoff retries around one blocking RPC per attempt.
-  PutResult remote_put_op(OpOptions opts,
-                          const std::function<PutResult(double)>& attempt);
-  /// Fire one attempt of an async remote op (and its retries, scheduled on
-  /// the session's timer thread).
-  void remote_attempt(std::shared_ptr<AsyncOp> op);
-  /// Nonblocking submission cores shared by the async_* overloads and the
-  /// remote multi_* fan-out.  `cb` always fires exactly once.
-  void submit_put(const std::string& key, Value value, PutCallback cb,
+  std::uint64_t next_handle() {
+    return next_handle_.fetch_add(1, std::memory_order_relaxed);
+  }
+
+  // ---- the op pipeline ------------------------------------------------------
+  /// Submission cores: prechecks, cache wrapping, then the driver.  `cb`
+  /// fires exactly once; `expected` makes a put conditional.
+  void submit_put(const std::string& key, Value value,
+                  std::optional<Version> expected, PutCallback cb,
                   OpOptions opts);
   void submit_get(const std::string& key, GetCallback cb, OpOptions opts);
-  void submit_put_if(const std::string& key, Value value, Version expected,
-                     PutCallback cb, OpOptions opts);
-  /// Shared driver for put and put_if_version: closed/empty-key prechecks,
-  /// lane hop, deadline arming, bounded-backoff retries.
-  void run_put_op(const std::string& key, Value value, OpOptions opts,
-                  PutCallback cb, PutSubmit submit);
-  void attempt_put_op(const std::string& key, Value value, OpOptions opts,
-                      std::shared_ptr<PutOp> op, std::size_t attempt,
-                      double backoff, std::shared_ptr<PutSubmit> submit);
+  void submit_multi_get(std::vector<std::string> keys, MultiGetCallback cb,
+                        OpOptions opts);
+  void submit_multi_put(std::vector<KeyValue> entries, MultiPutCallback cb,
+                        OpOptions opts);
+  /// The deadline/retry driver: hop to the op's home, arm the deadline,
+  /// send attempts, back off between retriable failures.
+  template <typename R>
+  void start(std::shared_ptr<Op<R>> op);
+  template <typename R>
+  void attempt(std::shared_ptr<Op<R>> op);
+  /// Mode hooks: send one attempt; run `fn` after `delay` (returns the
+  /// session timer id remotely, 0 for engine timers).
+  template <typename R>
+  void send(const std::shared_ptr<Op<R>>& op,
+            std::function<void(const R&)> done);
+  template <typename R>
+  std::uint64_t schedule(const std::shared_ptr<Op<R>>& op, double delay,
+                         std::function<void()> fn);
+  /// What a sync wrapper's wait spins: the lane-0 simulator under the
+  /// deterministic engine; null (block the caller) otherwise.
+  net::Simulator* sync_sim();
+  /// A completion-queue callback for handle `h` (counts it outstanding).
+  template <typename R>
+  std::function<void(const R&)> enqueue(std::uint64_t h, Completion::Kind kind,
+                                        const std::string& key);
 
   // ---- read-cache internals (all no-ops when cache_ is null) ----------------
   /// Whether this (already prechecked) get should consult the cache.
@@ -359,10 +377,8 @@ class Client {
     return cache_ != nullptr && mode == ReadMode::Atomic &&
            cache_usable_.load(std::memory_order_acquire);
   }
-  /// The uncached async get core: remote = pipelined RPC, local = lane hop
-  /// + deadline + service get.  No prechecks (callers did them).
+  /// The uncached get: one driven op.  No prechecks (callers did them).
   void raw_get(const std::string& key, GetCallback cb, OpOptions opts);
-  void local_get(const std::string& key, GetCallback cb, OpOptions opts);
   /// Cache-consulting async get: TTL hit / validation round / fill.
   void cached_get(const std::string& key, GetCallback cb, OpOptions opts);
   /// Full get that refreshes the cache entry on success.

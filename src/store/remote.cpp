@@ -430,15 +430,18 @@ void RemoteSession::on_message(NodeId peer, const net::MessagePtr& msg) {
   if (m == nullptr) return;
   const auto* reply = std::get_if<RemoteReply>(&m->body());
   if (reply == nullptr) return;  // requests don't flow server -> client
-  ReplyCallback cb;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    const auto it = pending_.find(m->op());
-    if (it == pending_.end()) return;  // deadline already gave up on this id
-    cb = std::move(it->second);
-    pending_.erase(it);
-  }
-  cb(Status::Ok(), *reply);  // unlocked: the callback may issue new calls
+  // Unlocked: the callback may issue new calls.  No entry: the deadline
+  // already gave up on this id.
+  if (ReplyCallback cb = take(m->op())) cb(Status::Ok(), *reply);
+}
+
+RemoteSession::ReplyCallback RemoteSession::take(OpId id) {
+  std::lock_guard<std::mutex> lk(mu_);
+  const auto it = pending_.find(id);
+  if (it == pending_.end()) return nullptr;
+  ReplyCallback cb = std::move(it->second);
+  pending_.erase(it);
+  return cb;
 }
 
 void RemoteSession::async_call(RemoteBody req, double deadline_s,
@@ -478,22 +481,39 @@ void RemoteSession::async_call(RemoteBody req, double deadline_s,
     // the map empty and walks away.  A false return (session closing) is
     // fine: close()'s fail_all sweeps the entry instead.
     transport_.after(deadline_s, [this, id, deadline_s] {
-      ReplyCallback late;
-      {
-        std::lock_guard<std::mutex> lk(mu_);
-        const auto it = pending_.find(id);
-        if (it == pending_.end()) return;  // reply won the race
-        late = std::move(it->second);
-        pending_.erase(it);
+      if (ReplyCallback late = take(id)) {  // else the reply won the race
+        late(Status::DeadlineExceeded(
+                 "deadline " + std::to_string(deadline_s) + "s expired"),
+             RemoteReply{});
       }
-      late(Status::DeadlineExceeded("deadline " + std::to_string(deadline_s) +
-                                    "s expired"),
-           RemoteReply{});
     });
   }
   // May block at the transport's backlog watermark; the deadline timer
   // above still fires on schedule while we wait.
   transport_.deliver(0, server_, std::move(msg), 0);
+}
+
+OpId RemoteSession::after(double delay_s, ReplyCallback cb) {
+  LDS_REQUIRE(cb != nullptr, "RemoteSession::after: null callback");
+  OpId id = 0;
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    if (!disconnected_) {
+      id = next_id_++;
+      pending_.emplace(id, std::move(cb));
+    }
+  }
+  if (id == 0) {  // `cb` was not moved
+    cb(Status::Unavailable("connection lost"), RemoteReply{});
+    return 0;
+  }
+  // A timer is a pending entry whose id is never sent, so no reply matches
+  // it and fail_all cancels it.  A false return (session closing) is fine:
+  // close()'s fail_all sweeps the entry.
+  transport_.after(delay_s, [this, id] {
+    if (ReplyCallback fn = take(id)) fn(Status::Ok(), RemoteReply{});
+  });
+  return id;
 }
 
 Status RemoteSession::call(RemoteBody req, double deadline_s,
@@ -538,17 +558,6 @@ GetResult RemoteSession::get(const std::string& key, ReadMode mode,
     return GetResult::failure(std::move(s));
   }
   return to_get_result(reply);
-}
-
-PutResult RemoteSession::put_if(const std::string& key, Value value,
-                                Version expected, double deadline_s) {
-  RemoteReply reply;
-  if (Status s = call(RemotePutIf{key, std::move(value), expected}, deadline_s,
-                      &reply);
-      !s.ok()) {
-    return PutResult::failure(std::move(s));
-  }
-  return to_put_result(reply);
 }
 
 }  // namespace lds::store

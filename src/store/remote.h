@@ -160,9 +160,11 @@ class RemoteServer {
 /// with the reply (on the transport's progress thread), a deadline expiry
 /// (transport timer thread), or a disconnect failure.  Exactly one of those
 /// wins per request: whichever fires first pops the pending entry.  The
-/// blocking put/get/put_if are thin cell-and-wait wrappers over async_call.
-/// Deadlines are wall-clock seconds — engine time does not exist on this
-/// side of the socket.
+/// blocking put/get are thin cell-and-wait wrappers over async_call (for
+/// drivers that want one RPC and nothing else; store::Client runs its own
+/// deadline/retry pipeline over async_call and after).  Deadlines are
+/// wall-clock seconds — engine time does not exist on this side of the
+/// socket.
 class RemoteSession {
  public:
   /// Reply delivery: Ok + the reply, or the failure (DeadlineExceeded /
@@ -184,23 +186,25 @@ class RemoteSession {
   PutResult put(const std::string& key, Value value, double deadline_s = 0);
   GetResult get(const std::string& key, ReadMode mode = ReadMode::Atomic,
                 double deadline_s = 0);
-  PutResult put_if(const std::string& key, Value value, Version expected,
-                   double deadline_s = 0);
 
   bool connected() const;
   /// Drop the connection and fail every in-flight request with Unavailable
   /// (callbacks run on the calling thread).  Idempotent; the dtor calls it.
   void close();
 
-  /// Requests sent whose outcome callback has not fired yet.
+  /// Requests sent (and after() timers armed) whose callback has not fired
+  /// yet.
   std::size_t inflight() const;
   /// Transport stats (zero-copy bytes, backpressure stalls, ...).
   const net::TcpTransport& transport() const { return transport_; }
-  /// Run `fn` on the transport timer thread after `delay_s` seconds; false
-  /// once the session is closed.  Retry/backoff timers live here.
-  bool after(double delay_s, std::function<void()> fn) {
-    return transport_.after(delay_s, std::move(fn));
-  }
+  /// A timer with the exactly-once contract of a request: `cb` fires with
+  /// Ok on the transport timer thread after `delay_s` seconds, or with
+  /// Unavailable when the connection is lost or closed first (synchronously
+  /// when it already is; the id is then 0).  Client deadline and backoff
+  /// timers live here.
+  OpId after(double delay_s, ReplyCallback cb);
+  /// Drop timer `id` without firing it (no-op once it fired or was swept).
+  void cancel(OpId id) { take(id); }
 
  private:
   explicit RemoteSession(net::TcpTransport::Options topt)
@@ -209,6 +213,8 @@ class RemoteSession {
   /// Send one request and block for its reply (or deadline/disconnect).
   Status call(RemoteBody req, double deadline_s, RemoteReply* out);
   void on_message(NodeId peer, const net::MessagePtr& msg);
+  /// Pop the pending entry `id`; null when another outcome already won.
+  ReplyCallback take(OpId id);
   /// Pop every pending request and fail it with `why` (unlocked callbacks).
   void fail_all(const Status& why);
 

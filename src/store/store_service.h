@@ -157,9 +157,8 @@ struct StoreOptions {
 enum class ReadMode : std::uint8_t { Atomic, Regular, TagOnly };
 
 /// Outcome of a put.  `status` is authoritative (see common/status.h for the
-/// taxonomy); `ok`/`error` are derived at construction so seed-era call
-/// sites (`r.ok`, `r.error`) keep compiling during the migration, and `tag`
-/// is the raw token behind the typed `version`.
+/// taxonomy); `ok` mirrors status.ok() for seed-era call sites (`r.ok`), and
+/// `tag` is the raw token behind the typed `version`.
 struct PutResult {
   Status status;
   Tag tag;
@@ -169,8 +168,7 @@ struct PutResult {
   /// a read of the key returns the survivor's value, not this one.  The
   /// remote bench uses this to record only linearization-visible writes.
   bool coalesced = false;
-  bool ok = false;        ///< derived: status.ok()
-  std::string error;      ///< derived: status.to_string() when !ok
+  bool ok = false;  ///< derived: status.ok()
 
   PutResult() = default;
   static PutResult success(Tag t) {
@@ -182,7 +180,6 @@ struct PutResult {
   }
   static PutResult failure(Status s) {
     PutResult r;
-    r.error = s.to_string();
     r.status = std::move(s);
     return r;
   }
@@ -195,8 +192,7 @@ struct GetResult {
   Tag tag;
   Version version;
   Value value;
-  bool ok = false;
-  std::string error;
+  bool ok = false;  ///< derived: status.ok()
 
   GetResult() = default;
   static GetResult success(Tag t, Value v) {
@@ -209,7 +205,6 @@ struct GetResult {
   }
   static GetResult failure(Status s) {
     GetResult r;
-    r.error = s.to_string();
     r.status = std::move(s);
     return r;
   }

@@ -781,7 +781,7 @@ TEST(DurableStore, PutsSurviveServiceRestart) {
       const std::string key = "key-" + std::to_string(i);
       const Bytes v(40 + i, static_cast<std::uint8_t>(i + 1));
       const auto put = svc.put_sync(key, v);
-      ASSERT_TRUE(put.ok) << put.error;
+      ASSERT_TRUE(put.ok) << put.status.to_string();
       expect[key] = v;
     }
     svc.quiesce();
@@ -789,12 +789,12 @@ TEST(DurableStore, PutsSurviveServiceRestart) {
   StoreService svc(durable_store_options(dir.path));
   for (const auto& [key, v] : expect) {
     const auto get = svc.get_sync(key);
-    ASSERT_TRUE(get.ok) << key << ": " << get.error;
+    ASSERT_TRUE(get.ok) << key << ": " << get.status.to_string();
     EXPECT_EQ(get.value, v) << key;
   }
   // Overwrites after recovery behave normally.
   const auto put = svc.put_sync("key-0", Bytes{99});
-  ASSERT_TRUE(put.ok) << put.error;
+  ASSERT_TRUE(put.ok) << put.status.to_string();
   const auto get = svc.get_sync("key-0");
   ASSERT_TRUE(get.ok);
   EXPECT_EQ(get.value, Bytes{99});

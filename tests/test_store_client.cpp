@@ -211,7 +211,7 @@ TEST(StoreClient, RetryPolicyRecoversFromAdmissionReject) {
 
   svc.quiesce([&] { return first_done && second_done; });
   ASSERT_TRUE(second_done);
-  EXPECT_TRUE(second.ok) << second.error;
+  EXPECT_TRUE(second.ok) << second.status.to_string();
   EXPECT_GE(svc.metrics().counter_total("puts_rejected"), 1u);
   expect_all_histories_clean(svc);
 }
@@ -313,7 +313,7 @@ TEST(StoreClient, ConditionalPutNeverOverwritesARacingWrite) {
   ASSERT_TRUE(results[0].ok);
   ASSERT_FALSE(results[1].ok);
   EXPECT_TRUE(results[1].status.is(StatusCode::kAborted))
-      << results[1].error;
+      << results[1].status.to_string();
   EXPECT_EQ(svc.metrics().counter_total("puts_coalesced"), 0u);
   // The racing write survived; the CAS retry path (re-read, new expected
   // version) then succeeds with its own tag.
@@ -365,7 +365,7 @@ TEST(StoreClient, MultiPutThenMultiGetSpansShardsInOrder) {
   }
   const auto puts = client.multi_put_sync(std::move(entries));
   ASSERT_EQ(puts.size(), 12u);
-  for (const auto& r : puts) ASSERT_TRUE(r.ok) << r.error;
+  for (const auto& r : puts) ASSERT_TRUE(r.ok) << r.status.to_string();
 
   const auto gets = client.multi_get_sync(keys);
   ASSERT_EQ(gets.size(), 12u);

@@ -102,7 +102,7 @@ TEST(StoreRepair, RepairUnderLoadStaysLinearizablePerShard) {
     if (rng.bernoulli(0.5)) {
       svc.get(key, [after](const GetResult& r) {
         // Gets racing the key's first put legitimately see NotFound.
-        EXPECT_TRUE(r.ok || r.status.is(StatusCode::kNotFound)) << r.error;
+        EXPECT_TRUE(r.ok || r.status.is(StatusCode::kNotFound)) << r.status.to_string();
         after();
       });
     } else {

@@ -27,9 +27,9 @@ TEST(StoreService, PutGetRoundTrip) {
   StoreService svc(small_options(2));
   const Bytes v{1, 2, 3, 4};
   const auto put = svc.put_sync("alpha", v);
-  ASSERT_TRUE(put.ok) << put.error;
+  ASSERT_TRUE(put.ok) << put.status.to_string();
   const auto get = svc.get_sync("alpha");
-  ASSERT_TRUE(get.ok) << get.error;
+  ASSERT_TRUE(get.ok) << get.status.to_string();
   EXPECT_EQ(get.value, v);
   EXPECT_EQ(get.tag, put.tag);
   EXPECT_EQ(svc.metrics().counter_total("puts"), 1u);
@@ -108,7 +108,7 @@ TEST(StoreService, BatchingUnderConcurrentWritersStaysLinearizable) {
     if (rng.bernoulli(0.4)) {
       svc.get(key, [&](const GetResult& r) {
         // A racing get may beat the key's first put: NotFound, not an error.
-        EXPECT_TRUE(r.ok || r.status.is(StatusCode::kNotFound)) << r.error;
+        EXPECT_TRUE(r.ok || r.status.is(StatusCode::kNotFound)) << r.status.to_string();
         ++done;
         next();
       });

@@ -14,14 +14,32 @@
 //     slow reader instead of growing the queue without bound, and every
 //     frame still arrives.
 //   * Disconnects — a dying server fails pending async ops promptly.
+//   * Callback forms and the read cache over TCP — async callbacks fire
+//     off the calling thread, blocking ones inline; cached gets validate
+//     with a tag-only round.
+//   * Stop vs accept — stop() racing a just-woken accept never deadlocks.
+//   * Remote retry/deadline driver — against a scripted server that rejects
+//     N puts then answers (or never answers): in the blocking, *_sync and
+//     async_* forms alike, retries recover, exhausted retries surface the
+//     last reject, deadlines expire on time even mid-backoff, and the
+//     attempt count equals the requests the server saw.  close() cancels
+//     an op sleeping in backoff instead of stranding it.
 //   * Pool fan-out — a multi-connection client against a multi-progress-
 //     thread server: concurrent async traffic, then both linearizability
 //     checkers over the served histories.
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <atomic>
 #include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <future>
 #include <map>
 #include <set>
 #include <thread>
@@ -167,6 +185,65 @@ TEST(TcpTransport, AfterRunsOnTimerThreadAndStopsCleanly) {
   server.stop();
   // A stopped transport refuses new timers instead of retaining them.
   EXPECT_FALSE(server.after(0.01, [&] { fired.fetch_add(1); }));
+}
+
+TEST(TcpTransport, StopRacingAcceptDoesNotDeadlock) {
+  // stop() joins the progress threads; a shard thread that has just woken
+  // for the listen fd must not wait on a lock stop() holds across that
+  // join.  Each round lands a connection at a varying offset before stop().
+  constexpr int kThreads = 4, kRounds = 500;
+  std::atomic<int> rounds_done{0};
+  std::atomic<bool> finished{false};
+  std::thread watchdog([&] {
+    int last = -1;
+    auto last_progress = std::chrono::steady_clock::now();
+    while (!finished.load()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      const int now_done = rounds_done.load();
+      const auto now = std::chrono::steady_clock::now();
+      if (now_done != last) {
+        last = now_done;
+        last_progress = now;
+      } else if (now - last_progress > std::chrono::seconds(5)) {
+        // A deadlocked stop() cannot be joined; fail the whole binary.
+        std::fprintf(stderr,
+                     "StopRacingAcceptDoesNotDeadlock: no progress for 5 s "
+                     "after %d rounds (stop/accept deadlock)\n",
+                     now_done);
+        std::_Exit(EXIT_FAILURE);
+      }
+    }
+  });
+  std::vector<std::thread> workers;
+  for (int t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&, t] {
+      for (int i = 0; i < kRounds; ++i) {
+        TcpTransport server;
+        ASSERT_TRUE(server.listen(0, [](NodeId, MessagePtr) {}).ok());
+        const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+        ASSERT_GE(fd, 0);
+        sockaddr_in addr{};
+        addr.sin_family = AF_INET;
+        addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+        addr.sin_port = htons(server.port());
+        ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr);
+        std::this_thread::sleep_for(
+            std::chrono::microseconds((i + t) * 37 % 300));
+        server.stop();
+        // Abortive close: no TIME_WAIT on either side, so thousands of
+        // rounds do not exhaust the ephemeral port range.
+        const linger abort_close{1, 0};
+        ::setsockopt(fd, SOL_SOCKET, SO_LINGER, &abort_close,
+                     sizeof abort_close);
+        ::close(fd);
+        rounds_done.fetch_add(1);
+      }
+    });
+  }
+  for (auto& w : workers) w.join();
+  finished.store(true);
+  watchdog.join();
+  EXPECT_EQ(rounds_done.load(), kThreads * kRounds);
 }
 
 // ---- backpressure ------------------------------------------------------------
@@ -359,6 +436,46 @@ TEST(AsyncClient, ServerDeathFailsPendingOpsPromptly) {
   }
 }
 
+TEST(AsyncClient, CallbackFormsAndTheReadCacheWorkRemotely) {
+  ServedStore served;
+  store::Client::ConnectOptions copts;
+  copts.cache.enabled = true;
+  Status st;
+  auto client = store::Client::connect("127.0.0.1", served.svc->listen_port(),
+                                       &st, copts);
+  ASSERT_NE(client, nullptr) << st.to_string();
+  ASSERT_TRUE(client->cache_enabled());
+
+  // Callback-style async forms complete off the calling thread.
+  std::promise<store::PutResult> put_done;
+  client->async_put("k", Value::from_string("v1"),
+                    [&](const store::PutResult& r) { put_done.set_value(r); });
+  const store::PutResult put = put_done.get_future().get();
+  ASSERT_TRUE(put.ok) << put.status.to_string();
+  std::promise<store::PutResult> cas_done;
+  client->async_put_if(
+      "k", Value::from_string("v2"), put.version,
+      [&](const store::PutResult& r) { cas_done.set_value(r); });
+  const store::PutResult cas = cas_done.get_future().get();
+  ASSERT_TRUE(cas.ok) << cas.status.to_string();
+  EXPECT_EQ(client->cache_size(), 1u);  // this client's own write
+
+  // Both get forms validate the cached entry with a tag-only round and
+  // serve the cached value.
+  std::promise<store::GetResult> get_done;
+  client->async_get("k",
+                    [&](const store::GetResult& r) { get_done.set_value(r); });
+  const store::GetResult got = get_done.get_future().get();
+  ASSERT_TRUE(got.ok) << got.status.to_string();
+  EXPECT_EQ(got.value, Value::from_string("v2"));
+  store::GetResult inline_got;
+  client->get("k", [&](const store::GetResult& r) { inline_got = r; });
+  ASSERT_TRUE(inline_got.ok) << inline_got.status.to_string();
+  EXPECT_EQ(inline_got.value, Value::from_string("v2"));
+  EXPECT_EQ(client->metrics().counter_total("cache_hits"), 2u);
+  EXPECT_EQ(client->metrics().counter_total("cache_validation_rounds"), 2u);
+}
+
 TEST(AsyncClient, PoolFanOutHistoriesPassBothVerifiers) {
   ServedStore served(/*net_threads=*/2, /*shards=*/2);
   store::Client::ConnectOptions copts;
@@ -433,6 +550,259 @@ TEST(AsyncClient, PoolFanOutHistoriesPassBothVerifiers) {
     EXPECT_TRUE(h.check_atomicity(Bytes{}).ok);
     EXPECT_TRUE(harness::verify_read_freshness(h).ok);
   }
+}
+
+// ---- remote deadline/retry driver -------------------------------------------
+
+using store::RemotePutIf;
+using store::RemoteReply;
+
+/// A scripted store server.  Puts (plain or conditional) are answered with
+/// AdmissionReject for the first `rejects` requests, then with Ok — or never
+/// at all when `silent` is set.  Gets always answer NotFound.
+class ScriptedServer {
+ public:
+  explicit ScriptedServer(int rejects, bool silent = false)
+      : rejects_(rejects), silent_(silent) {
+    register_store_wire();
+    EXPECT_TRUE(transport_
+                    .listen(0,
+                            [this](NodeId peer, MessagePtr msg) {
+                              on_request(peer, msg);
+                            })
+                    .ok());
+  }
+  std::uint16_t port() const { return transport_.port(); }
+  /// Put requests seen so far (every attempt is one request).
+  int puts() const { return puts_.load(); }
+  int conditional_puts() const { return conditional_puts_.load(); }
+
+ private:
+  void on_request(NodeId peer, const MessagePtr& msg) {
+    const auto* m = dynamic_cast<const RemoteMessage*>(msg.get());
+    if (m == nullptr) return;
+    RemoteReply r;
+    if (std::holds_alternative<RemoteGet>(m->body())) {
+      r.code = StatusCode::kNotFound;
+    } else {
+      if (std::holds_alternative<RemotePutIf>(m->body())) {
+        conditional_puts_.fetch_add(1);
+      }
+      const int n = puts_.fetch_add(1) + 1;
+      if (n <= rejects_) {
+        r.code = StatusCode::kAdmissionReject;
+        r.message = "scripted reject " + std::to_string(n);
+      } else if (silent_) {
+        return;
+      } else {
+        r.version_known = true;
+        r.tag = Tag{static_cast<std::uint64_t>(n), 1};
+      }
+    }
+    transport_.deliver(0, peer, RemoteMessage::make(m->op(), std::move(r)), 0);
+  }
+
+  const int rejects_;
+  const bool silent_;
+  std::atomic<int> puts_{0};
+  std::atomic<int> conditional_puts_{0};
+  TcpTransport transport_;  // last member: stops before the counters die
+};
+
+/// The three ways to issue one remote put.
+enum class Form { Blocking, Sync, Async };
+
+struct PutOutcome {
+  Status status;
+  Version version;
+  double seconds = 0;
+};
+
+/// Issue one (optionally conditional) put through `form` and time it.
+PutOutcome put_via(store::Client& client, Form form, const std::string& key,
+                   store::OpOptions opts, bool conditional = false) {
+  const Value v = Value::from_string("v");
+  const Version expected(kTag0);
+  const auto t0 = std::chrono::steady_clock::now();
+  PutOutcome out;
+  switch (form) {
+    case Form::Blocking: {
+      bool fired = false;
+      const auto cb = [&](const store::PutResult& r) {
+        fired = true;
+        out.status = r.status;
+        out.version = r.version;
+      };
+      if (conditional) {
+        client.put_if_version(key, v, expected, cb, opts);
+      } else {
+        client.put(key, v, cb, opts);
+      }
+      // The remote callback contract: fired inline, before the call returns.
+      EXPECT_TRUE(fired);
+      break;
+    }
+    case Form::Sync: {
+      const Result<Version> r =
+          conditional ? client.put_if_version_sync(key, v, expected, opts)
+                      : client.put_sync(key, v, opts);
+      out.status = r.status();
+      if (r.ok()) out.version = r.value();
+      break;
+    }
+    case Form::Async: {
+      if (conditional) {
+        client.async_put_if(key, v, expected, opts);
+      } else {
+        client.async_put(key, v, opts);
+      }
+      store::Completion c;
+      EXPECT_TRUE(client.completions().wait(&c, 30.0));
+      out.status = c.put.status;
+      out.version = c.put.version;
+      break;
+    }
+  }
+  out.seconds = std::chrono::duration<double>(
+                    std::chrono::steady_clock::now() - t0)
+                    .count();
+  return out;
+}
+
+std::unique_ptr<store::Client> connect_to(const ScriptedServer& server) {
+  Status st;
+  auto client = store::Client::connect("127.0.0.1", server.port(), &st);
+  EXPECT_NE(client, nullptr) << st.to_string();
+  return client;
+}
+
+store::OpOptions retrying(std::size_t attempts, double backoff,
+                          double deadline = 0) {
+  store::OpOptions opts;
+  opts.retry.max_attempts = attempts;
+  opts.retry.backoff = backoff;
+  opts.deadline = deadline;
+  return opts;
+}
+
+constexpr Form kForms[] = {Form::Blocking, Form::Sync, Form::Async};
+
+TEST(RemoteRetry, RecoversFromAdmissionRejectInEveryForm) {
+  for (const Form form : kForms) {
+    for (const bool conditional : {false, true}) {
+      ScriptedServer server(/*rejects=*/2);
+      auto client = connect_to(server);
+      ASSERT_NE(client, nullptr);
+      const PutOutcome r =
+          put_via(*client, form, "k", retrying(3, 0.01), conditional);
+      EXPECT_TRUE(r.status.ok()) << r.status.to_string();
+      // The third request was the first the server accepted.
+      EXPECT_EQ(r.version, Version(Tag{3, 1}));
+      EXPECT_EQ(server.puts(), 3);
+      EXPECT_EQ(server.conditional_puts(), conditional ? 3 : 0);
+    }
+  }
+}
+
+TEST(RemoteRetry, ExhaustedRetriesSurfaceTheLastReject) {
+  for (const Form form : kForms) {
+    ScriptedServer server(/*rejects=*/1000);
+    auto client = connect_to(server);
+    ASSERT_NE(client, nullptr);
+    const PutOutcome r = put_via(*client, form, "k", retrying(3, 0.01));
+    EXPECT_TRUE(r.status.is(StatusCode::kAdmissionReject))
+        << r.status.to_string();
+    EXPECT_NE(r.status.to_string().find("scripted reject 3"),
+              std::string::npos)
+        << r.status.to_string();
+    EXPECT_EQ(server.puts(), 3);
+  }
+  // No retry policy: exactly one attempt.
+  ScriptedServer server(/*rejects=*/1000);
+  auto client = connect_to(server);
+  ASSERT_NE(client, nullptr);
+  EXPECT_TRUE(put_via(*client, Form::Sync, "k", {})
+                  .status.is(StatusCode::kAdmissionReject));
+  EXPECT_EQ(server.puts(), 1);
+}
+
+TEST(RemoteRetry, DeadlineExpiresDuringBackoffOnTime) {
+  constexpr double kDeadline = 0.2;
+  for (const Form form : kForms) {
+    ScriptedServer server(/*rejects=*/1000);
+    auto client = connect_to(server);
+    ASSERT_NE(client, nullptr);
+    // The first reject starts a 5 s backoff; the 0.2 s deadline must not
+    // wait for it.
+    const PutOutcome r =
+        put_via(*client, form, "k", retrying(10, 5.0, kDeadline));
+    EXPECT_TRUE(r.status.is(StatusCode::kDeadlineExceeded))
+        << r.status.to_string();
+    EXPECT_GE(r.seconds, kDeadline - 0.01);
+    EXPECT_LT(r.seconds, kDeadline + 1.0);
+    EXPECT_EQ(server.puts(), 1);
+  }
+}
+
+TEST(RemoteRetry, DeadlineExpiresAgainstASilentServer) {
+  constexpr double kDeadline = 0.2;
+  for (const Form form : kForms) {
+    ScriptedServer server(/*rejects=*/0, /*silent=*/true);
+    auto client = connect_to(server);
+    ASSERT_NE(client, nullptr);
+    const PutOutcome r =
+        put_via(*client, form, "k", retrying(3, 0.01, kDeadline));
+    EXPECT_TRUE(r.status.is(StatusCode::kDeadlineExceeded))
+        << r.status.to_string();
+    EXPECT_GE(r.seconds, kDeadline - 0.01);
+    EXPECT_LT(r.seconds, kDeadline + 1.0);
+    EXPECT_EQ(server.puts(), 1);
+  }
+}
+
+TEST(RemoteRetry, MultiOpsRetryEachSubOperation) {
+  ScriptedServer server(/*rejects=*/3);
+  auto client = connect_to(server);
+  ASSERT_NE(client, nullptr);
+  std::vector<store::KeyValue> entries;
+  for (int i = 0; i < 4; ++i) {
+    entries.push_back({"k" + std::to_string(i), Value::from_string("v")});
+  }
+  std::vector<store::PutResult> puts;
+  client->multi_put(
+      entries, [&](std::vector<store::PutResult> r) { puts = std::move(r); },
+      retrying(4, 0.01));
+  ASSERT_EQ(puts.size(), entries.size());  // fired inline
+  for (const auto& r : puts) EXPECT_TRUE(r.ok) << r.status.to_string();
+  EXPECT_EQ(server.puts(), 4 + 3);
+  std::vector<store::GetResult> gets;
+  client->multi_get({"k0", "k1"}, [&](std::vector<store::GetResult> r) {
+    gets = std::move(r);
+  });
+  ASSERT_EQ(gets.size(), 2u);
+  for (const auto& r : gets) EXPECT_TRUE(r.status.is(StatusCode::kNotFound));
+}
+
+TEST(RemoteRetry, CloseCancelsAnOpWaitingInBackoff) {
+  ScriptedServer server(/*rejects=*/1000);
+  auto client = connect_to(server);
+  ASSERT_NE(client, nullptr);
+  client->async_put("k", Value::from_string("v"), retrying(5, 5.0));
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (server.puts() < 1 && std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(server.puts(), 1);
+  // The reject is in; the op now sleeps in its 5 s backoff.  Give the reply
+  // a moment to arrive, then close: the op must not be stranded.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  client->close();
+  store::Completion c;
+  ASSERT_TRUE(client->completions().wait(&c, 2.0));
+  EXPECT_TRUE(c.put.status.is(StatusCode::kUnavailable))
+      << c.put.status.to_string();
+  EXPECT_EQ(server.puts(), 1);
 }
 
 }  // namespace
