@@ -17,18 +17,16 @@
 // completed get's tag is never rolled back — because durable acks only fire
 // once the tag's offload is fdatasynced at an L2 quorum.
 //
-// Writes the server may or may not have applied (the connection died with
-// the reply in flight) are recorded as INCOMPLETE ops.  Every written value
-// is unique (thread, seq tattooed into the bytes), so a post-run
-// reconciliation pass can bind each such write to the tag the server
-// actually gave it iff some completed read returned its value — exactly the
-// History::set_payload contract ("a read may legitimately return the value
-// of a write that never completed").
+// Each client-observed outcome is recorded by harness::ClientRecorder (see
+// recorder.h for the rule per outcome).  A write whose reply died with the
+// server stays an incomplete op until a completed read returns its unique
+// value, which binds it to the tag the server actually gave it.
 #pragma once
 
 #include <cstdint>
 #include <string>
 
+#include "harness/recorder.h"
 #include "storage/wal.h"
 
 namespace lds::harness {
@@ -60,12 +58,7 @@ struct Kill9Options {
 struct Kill9Report {
   std::size_t incarnations = 0;  ///< server processes actually started
   std::size_t kills = 0;         ///< SIGKILLs delivered
-  std::size_t writes_completed = 0;
-  std::size_t writes_unknown = 0;  ///< connection died with reply in flight
-  std::size_t writes_bound = 0;    ///< unknowns bound to a tag by a read
-  std::size_t writes_coalesced = 0;
-  std::size_t reads_completed = 0;
-  std::size_t reads_failed = 0;
+  ClientCounts ops;              ///< client-observed outcomes, by class
   bool atomicity_ok = false;
   bool freshness_ok = false;
   bool server_verified = false;  ///< final incarnation exited 0 on SIGTERM

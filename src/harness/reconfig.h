@@ -15,15 +15,18 @@
 //     the restarted peer re-joins (new epoch, re-synced from scratch).
 //
 // Every client-observed operation lands in one merged History spanning all
-// epochs; at the end it must pass BOTH verifiers (History::check_atomicity
-// and harness::verify_read_freshness), the head's own SIGTERM verification
-// must exit 0, and the final epoch's view must be durably recoverable from
-// the head's --member-dir.  That is the reconfiguration claim: atomicity
-// holds ACROSS view changes, not just within one.
+// epochs (harness::ClientRecorder; see recorder.h for the rule per outcome).
+// At the end it must pass BOTH verifiers (History::check_atomicity and
+// harness::verify_read_freshness), the head's own SIGTERM verification must
+// exit 0, and the final epoch's view must be durably recoverable from the
+// head's --member-dir.  That is the reconfiguration claim: atomicity holds
+// ACROSS view changes, not just within one.
 #pragma once
 
 #include <cstdint>
 #include <string>
+
+#include "harness/recorder.h"
 
 namespace lds::harness {
 
@@ -53,12 +56,7 @@ struct ReconfigReport {
   std::size_t kills = 0;          ///< SIGKILLs delivered mid-reconfig
   std::uint64_t final_epoch = 0;      ///< highest epoch the controller saw
   std::uint64_t persisted_epoch = 0;  ///< epoch recovered from VIEW on disk
-  std::size_t writes_completed = 0;
-  std::size_t writes_unknown = 0;
-  std::size_t writes_bound = 0;
-  std::size_t writes_coalesced = 0;
-  std::size_t reads_completed = 0;
-  std::size_t reads_failed = 0;
+  ClientCounts ops;               ///< client-observed outcomes, by class
   bool atomicity_ok = false;
   bool freshness_ok = false;
   bool server_verified = false;  ///< head exited 0 on SIGTERM

@@ -11,6 +11,7 @@
 #include "baselines/abd.h"
 #include "baselines/cas.h"
 #include "common/rng.h"
+#include "harness/recorder.h"
 #include "harness/workload.h"
 #include "lds/cluster.h"
 #include "store/client.h"
@@ -532,27 +533,14 @@ ShardReport run_shard(const ThreadState& ts) {
   rep.freshness_ok = true;
   const bool multi = env.histories.size() > 1;
   for (std::size_t h = 0; h < env.histories.size(); ++h) {
-    const History& history = *env.histories[h];
-    const std::string where =
-        multi ? " (store shard " + std::to_string(h) + ")" : "";
-    if (!history.all_complete() && rep.liveness_ok) {
-      rep.liveness_ok = false;
-      rep.violation = "liveness: " + std::to_string(history.incomplete()) +
-                      " ops never completed" + where;
-    }
-    const auto atomic_verdict = history.check_atomicity(Bytes{});
-    if (!atomic_verdict.ok && rep.atomicity_ok) {
-      rep.atomicity_ok = false;
-      if (rep.violation.empty()) {
-        rep.violation = "atomicity: " + atomic_verdict.violation + where;
-      }
-    }
-    const auto fresh_verdict = verify_read_freshness(history);
-    if (!fresh_verdict.ok && rep.freshness_ok) {
-      rep.freshness_ok = false;
-      if (rep.violation.empty()) {
-        rep.violation = "freshness: " + fresh_verdict.violation + where;
-      }
+    const HistoryVerdict v = verify_history(*env.histories[h]);
+    rep.liveness_ok = rep.liveness_ok && v.liveness_ok();
+    rep.atomicity_ok = rep.atomicity_ok && v.atomicity.ok;
+    rep.freshness_ok = rep.freshness_ok && v.freshness.ok;
+    if (rep.violation.empty() && !v.ok()) {
+      rep.violation =
+          v.violation() +
+          (multi ? " (store shard " + std::to_string(h) + ")" : "");
     }
   }
   if (env.outstanding && env.outstanding() != 0 && rep.liveness_ok) {
@@ -668,22 +656,11 @@ StressReport run_parallel_store(const StressOptions& opt,
       rep.cache_misses = client.metrics().counter_total("cache_misses");
     }
 
-    const History& history = svc.shard_history(s);
-    rep.liveness_ok = history.all_complete();
-    if (!rep.liveness_ok) {
-      rep.violation = "liveness: " + std::to_string(history.incomplete()) +
-                      " ops never completed";
-    }
-    const auto atomic_verdict = history.check_atomicity(Bytes{});
-    rep.atomicity_ok = atomic_verdict.ok;
-    if (!atomic_verdict.ok && rep.violation.empty()) {
-      rep.violation = "atomicity: " + atomic_verdict.violation;
-    }
-    const auto fresh_verdict = verify_read_freshness(history);
-    rep.freshness_ok = fresh_verdict.ok;
-    if (!fresh_verdict.ok && rep.violation.empty()) {
-      rep.violation = "freshness: " + fresh_verdict.violation;
-    }
+    const HistoryVerdict v = verify_history(svc.shard_history(s));
+    rep.liveness_ok = v.liveness_ok();
+    rep.atomicity_ok = v.atomicity.ok;
+    rep.freshness_ok = v.freshness.ok;
+    rep.violation = v.violation();
     if (s == 0 && svc.outstanding() != 0) {
       rep.liveness_ok = false;
       rep.violation = "liveness: " + std::to_string(svc.outstanding()) +

@@ -88,7 +88,9 @@ std::string Trace::format() const {
     out += '\n';
   }
   if (dropped_ > 0) {
-    out += "(" + std::to_string(dropped_) + " older entries dropped)\n";
+    out += '(';  // piecewise: "(" + std::string trips GCC 12 -Wrestrict
+    out += std::to_string(dropped_);
+    out += " older entries dropped)\n";
   }
   return out;
 }

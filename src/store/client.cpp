@@ -162,7 +162,7 @@ void Client::attempt(std::shared_ptr<Op<R>> op) {
   send<R>(op, [this, op](const R& r) {
     if (op->settled.load(std::memory_order_acquire)) return;  // deadline won
     const RetryPolicy& retry = op->opts.retry;
-    if (!r.ok && retry.retriable(r.status) &&
+    if (!r.status.ok() && retry.retriable(r.status) &&
         op->attempt < retry.max_attempts) {
       const double delay = op->backoff;
       ++op->attempt;
@@ -433,7 +433,7 @@ Result<Version> Client::put_sync(const std::string& key, Value value,
       [&](auto done) {
         submit_put(key, std::move(value), std::nullopt, std::move(done), opts);
       });
-  if (!r.ok) return r.status;
+  if (!r.status.ok()) return r.status;
   return r.version;
 }
 
@@ -442,7 +442,7 @@ Result<VersionedValue> Client::get_sync(const std::string& key,
   const GetResult r = run_op_sync<GetResult>(
       sync_sim(), "Client::get_sync: simulation drained before completion",
       [&](auto done) { submit_get(key, std::move(done), opts); });
-  if (!r.ok) return r.status;
+  if (!r.status.ok()) return r.status;
   return VersionedValue{r.version, r.value};
 }
 
@@ -455,7 +455,7 @@ Result<Version> Client::put_if_version_sync(const std::string& key,
       [&](auto done) {
         submit_put(key, std::move(value), expected, std::move(done), opts);
       });
-  if (!r.ok) return r.status;
+  if (!r.status.ok()) return r.status;
   return r.version;
 }
 
@@ -515,7 +515,7 @@ void Client::cached_get(const std::string& key, GetCallback cb,
       key,
       [this, key, opts, cb = std::move(cb),
        cached = std::move(*entry)](const GetResult& r) mutable {
-        if (r.ok) {
+        if (r.status.ok()) {
           if (r.version == cached.version) {
             client_metrics_.counter("cache_hits").inc();
             client_metrics_.counter("wire_value_bytes_saved")
@@ -553,7 +553,9 @@ void Client::cached_get(const std::string& key, GetCallback cb,
 void Client::fill_get(const std::string& key, GetCallback cb, OpOptions opts) {
   raw_get(key,
           [this, key, cb = std::move(cb)](const GetResult& r) {
-            if (r.ok) cache_->update(key, r.version, r.value, cache_now());
+            if (r.status.ok()) {
+              cache_->update(key, r.version, r.value, cache_now());
+            }
             if (cb) cb(r);
           },
           opts);
@@ -562,7 +564,7 @@ void Client::fill_get(const std::string& key, GetCallback cb, OpOptions opts) {
 Client::PutCallback Client::wrap_put_cb(const std::string& key,
                                         const Value& value, PutCallback cb) {
   return [this, key, value, cb = std::move(cb)](const PutResult& r) {
-    if (r.ok) {
+    if (r.status.ok()) {
       if (r.coalesced) {
         // Durable, but a newer same-key put of the same batch window won:
         // a read returns the survivor's value, not ours.  Drop the entry.

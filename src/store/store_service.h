@@ -156,9 +156,8 @@ struct StoreOptions {
 /// the cached value is still current.
 enum class ReadMode : std::uint8_t { Atomic, Regular, TagOnly };
 
-/// Outcome of a put.  `status` is authoritative (see common/status.h for the
-/// taxonomy); `ok` mirrors status.ok() for seed-era call sites (`r.ok`), and
-/// `tag` is the raw token behind the typed `version`.
+/// Outcome of a put.  `status` is the outcome (see common/status.h for the
+/// taxonomy); `tag` is the raw token behind the typed `version`.
 struct PutResult {
   Status status;
   Tag tag;
@@ -168,14 +167,12 @@ struct PutResult {
   /// a read of the key returns the survivor's value, not this one.  The
   /// remote bench uses this to record only linearization-visible writes.
   bool coalesced = false;
-  bool ok = false;  ///< derived: status.ok()
 
   PutResult() = default;
   static PutResult success(Tag t) {
     PutResult r;
     r.tag = t;
     r.version = Version(t);
-    r.ok = true;
     return r;
   }
   static PutResult failure(Status s) {
@@ -192,7 +189,6 @@ struct GetResult {
   Tag tag;
   Version version;
   Value value;
-  bool ok = false;  ///< derived: status.ok()
 
   GetResult() = default;
   static GetResult success(Tag t, Value v) {
@@ -200,7 +196,6 @@ struct GetResult {
     r.tag = t;
     r.version = Version(t);
     r.value = std::move(v);
-    r.ok = true;
     return r;
   }
   static GetResult failure(Status s) {

@@ -5,19 +5,15 @@
 
 #include <gtest/gtest.h>
 
-#include "harness/stress.h"
+#include "harness/recorder.h"
 #include "store/store_service.h"
 
 namespace lds::store {
 
 inline void expect_all_histories_clean(StoreService& svc) {
   for (std::size_t s = 0; s < svc.num_shards(); ++s) {
-    const auto& h = svc.shard_history(s);
-    EXPECT_TRUE(h.all_complete()) << "shard " << s;
-    const auto atomic = h.check_atomicity(Bytes{});
-    EXPECT_TRUE(atomic.ok) << "shard " << s << ": " << atomic.violation;
-    const auto fresh = harness::verify_read_freshness(h);
-    EXPECT_TRUE(fresh.ok) << "shard " << s << ": " << fresh.violation;
+    const auto v = harness::verify_history(svc.shard_history(s));
+    EXPECT_TRUE(v.ok()) << "shard " << s << ": " << v.violation();
   }
 }
 

@@ -781,7 +781,7 @@ TEST(DurableStore, PutsSurviveServiceRestart) {
       const std::string key = "key-" + std::to_string(i);
       const Bytes v(40 + i, static_cast<std::uint8_t>(i + 1));
       const auto put = svc.put_sync(key, v);
-      ASSERT_TRUE(put.ok) << put.status.to_string();
+      ASSERT_TRUE(put.status.ok()) << put.status.to_string();
       expect[key] = v;
     }
     svc.quiesce();
@@ -789,14 +789,14 @@ TEST(DurableStore, PutsSurviveServiceRestart) {
   StoreService svc(durable_store_options(dir.path));
   for (const auto& [key, v] : expect) {
     const auto get = svc.get_sync(key);
-    ASSERT_TRUE(get.ok) << key << ": " << get.status.to_string();
+    ASSERT_TRUE(get.status.ok()) << key << ": " << get.status.to_string();
     EXPECT_EQ(get.value, v) << key;
   }
   // Overwrites after recovery behave normally.
   const auto put = svc.put_sync("key-0", Bytes{99});
-  ASSERT_TRUE(put.ok) << put.status.to_string();
+  ASSERT_TRUE(put.status.ok()) << put.status.to_string();
   const auto get = svc.get_sync("key-0");
-  ASSERT_TRUE(get.ok);
+  ASSERT_TRUE(get.status.ok());
   EXPECT_EQ(get.value, Bytes{99});
   svc.quiesce();
   expect_all_histories_clean(svc);

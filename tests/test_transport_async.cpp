@@ -357,7 +357,7 @@ TEST(AsyncClient, CompletionQueuePipeliningCompletesEveryHandle) {
   while (cq.outstanding() > 0) {
     ASSERT_TRUE(cq.wait(&c, 30.0));
     ASSERT_EQ(c.kind, store::Completion::Kind::Get);
-    ASSERT_TRUE(c.get.ok) << c.get.status.to_string();
+    ASSERT_TRUE(c.get.status.ok()) << c.get.status.to_string();
     ASSERT_EQ(want.count(c.handle), 1u);
     EXPECT_EQ(c.get.value, Value::from_string(want[c.handle]));
   }
@@ -451,13 +451,13 @@ TEST(AsyncClient, CallbackFormsAndTheReadCacheWorkRemotely) {
   client->async_put("k", Value::from_string("v1"),
                     [&](const store::PutResult& r) { put_done.set_value(r); });
   const store::PutResult put = put_done.get_future().get();
-  ASSERT_TRUE(put.ok) << put.status.to_string();
+  ASSERT_TRUE(put.status.ok()) << put.status.to_string();
   std::promise<store::PutResult> cas_done;
   client->async_put_if(
       "k", Value::from_string("v2"), put.version,
       [&](const store::PutResult& r) { cas_done.set_value(r); });
   const store::PutResult cas = cas_done.get_future().get();
-  ASSERT_TRUE(cas.ok) << cas.status.to_string();
+  ASSERT_TRUE(cas.status.ok()) << cas.status.to_string();
   EXPECT_EQ(client->cache_size(), 1u);  // this client's own write
 
   // Both get forms validate the cached entry with a tag-only round and
@@ -466,11 +466,11 @@ TEST(AsyncClient, CallbackFormsAndTheReadCacheWorkRemotely) {
   client->async_get("k",
                     [&](const store::GetResult& r) { get_done.set_value(r); });
   const store::GetResult got = get_done.get_future().get();
-  ASSERT_TRUE(got.ok) << got.status.to_string();
+  ASSERT_TRUE(got.status.ok()) << got.status.to_string();
   EXPECT_EQ(got.value, Value::from_string("v2"));
   store::GetResult inline_got;
   client->get("k", [&](const store::GetResult& r) { inline_got = r; });
-  ASSERT_TRUE(inline_got.ok) << inline_got.status.to_string();
+  ASSERT_TRUE(inline_got.status.ok()) << inline_got.status.to_string();
   EXPECT_EQ(inline_got.value, Value::from_string("v2"));
   EXPECT_EQ(client->metrics().counter_total("cache_hits"), 2u);
   EXPECT_EQ(client->metrics().counter_total("cache_validation_rounds"), 2u);
@@ -773,7 +773,7 @@ TEST(RemoteRetry, MultiOpsRetryEachSubOperation) {
       entries, [&](std::vector<store::PutResult> r) { puts = std::move(r); },
       retrying(4, 0.01));
   ASSERT_EQ(puts.size(), entries.size());  // fired inline
-  for (const auto& r : puts) EXPECT_TRUE(r.ok) << r.status.to_string();
+  for (const auto& r : puts) EXPECT_TRUE(r.status.ok()) << r.status.to_string();
   EXPECT_EQ(server.puts(), 4 + 3);
   std::vector<store::GetResult> gets;
   client->multi_get({"k0", "k1"}, [&](std::vector<store::GetResult> r) {

@@ -38,7 +38,7 @@
 #include <optional>
 #include <vector>
 
-#include "harness/stress.h"
+#include "harness/recorder.h"
 #include "member/fabric.h"
 #include "member/peer.h"
 #include "member/view.h"
@@ -110,7 +110,9 @@ bool parse_node_ids(const char* s, std::vector<NodeId>* out) {
 }
 
 bool write_port_file(const std::string& path, std::uint16_t port) {
-  // Atomic (write-temp-then-rename), same contract as the store port file.
+  // Atomic (write-temp-then-rename): a harness polling for this file never
+  // reads a half-written port number, and a crashed predecessor's stale
+  // file is replaced in one step.
   const std::string body = std::to_string(port) + "\n";
   if (const Status st = storage::atomic_write_file(path, body); !st.ok()) {
     std::fprintf(stderr, "lds_served: cannot write %s: %s\n", path.c_str(),
@@ -148,30 +150,6 @@ void usage(const char* argv0) {
       "  --node-ids A,B,...     peer mode: server NodeIds to claim\n"
       "                         (L2: 30000+i, L1: 20000+j)\n",
       argv0);
-}
-
-bool verify_service(store::StoreService& svc) {
-  bool ok = true;
-  for (std::size_t s = 0; s < svc.num_shards(); ++s) {
-    const auto& h = svc.shard_history(s);
-    if (!h.all_complete()) {
-      std::fprintf(stderr, "shard %zu: %zu incomplete operations\n", s,
-                   h.incomplete());
-      ok = false;
-      continue;
-    }
-    if (const auto r = h.check_atomicity(Bytes{}); !r.ok) {
-      std::fprintf(stderr, "shard %zu: ATOMICITY VIOLATION: %s\n", s,
-                   r.violation.c_str());
-      ok = false;
-    }
-    if (const auto r = harness::verify_read_freshness(h); !r.ok) {
-      std::fprintf(stderr, "shard %zu: FRESHNESS VIOLATION: %s\n", s,
-                   r.violation.c_str());
-      ok = false;
-    }
-  }
-  return ok;
 }
 
 }  // namespace
@@ -435,17 +413,9 @@ int main(int argc, char** argv) {
               store::protocol_name(opt.backend),
               static_cast<unsigned long long>(opt.seed));
   std::fflush(stdout);
-  if (!opt.port_file.empty()) {
-    // Atomic (write-temp-then-rename): a harness polling for this file never
-    // reads a half-written port number, and a crashed predecessor's stale
-    // file is replaced in one step.
-    const std::string body = std::to_string(svc.listen_port()) + "\n";
-    if (const Status st = storage::atomic_write_file(opt.port_file, body);
-        !st.ok()) {
-      std::fprintf(stderr, "lds_served: cannot write %s: %s\n",
-                   opt.port_file.c_str(), st.to_string().c_str());
-      return 2;
-    }
+  if (!opt.port_file.empty() &&
+      !write_port_file(opt.port_file, svc.listen_port())) {
+    return 2;
   }
   if (opt.member) {
     std::printf("lds_served: member coordinator on 127.0.0.1:%u epoch=%llu\n",
@@ -494,7 +464,26 @@ int main(int argc, char** argv) {
                   svc.metrics().counter_total("gets")),
               keys, svc.num_shards());
   if (opt.verify) {
-    if (!verify_service(svc)) {
+    bool verified = true;
+    for (std::size_t s = 0; s < svc.num_shards(); ++s) {
+      const harness::HistoryVerdict v =
+          harness::verify_history(svc.shard_history(s));
+      verified = verified && v.ok();
+      if (!v.liveness_ok()) {
+        std::fprintf(stderr, "shard %zu: %zu incomplete operations\n", s,
+                     v.incomplete);
+        continue;
+      }
+      if (!v.atomicity.ok) {
+        std::fprintf(stderr, "shard %zu: ATOMICITY VIOLATION: %s\n", s,
+                     v.atomicity.violation.c_str());
+      }
+      if (!v.freshness.ok) {
+        std::fprintf(stderr, "shard %zu: FRESHNESS VIOLATION: %s\n", s,
+                     v.freshness.violation.c_str());
+      }
+    }
+    if (!verified) {
       std::fprintf(stderr, "lds_served: VERIFICATION FAILED\n");
       return 1;
     }

@@ -72,7 +72,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "harness/stress.h"
+#include "harness/recorder.h"
 #include "harness/workload.h"
 #include "store/client.h"
 
@@ -181,15 +181,24 @@ std::string histogram_json(const lds::store::Histogram& h) {
   return buf;
 }
 
-/// Replay every shard history through the atomicity + freshness verifiers.
-bool verify_service(StoreService& svc) {
+/// The in-process tail both engines share: service counters, the verdict
+/// over every shard history (atomicity + freshness), and the cache stats.
+ReplicaResult service_result(const BenchOptions& opt, StoreService& svc,
+                             const Client& client) {
+  ReplicaResult out;
+  out.ops = opt.ops;
+  out.batches = svc.metrics().counter_total("batches");
+  out.coalesced = svc.metrics().counter_total("puts_coalesced");
   for (std::size_t s = 0; s < svc.num_shards(); ++s) {
-    const auto& h = svc.shard_history(s);
-    if (!h.all_complete()) return false;
-    if (!h.check_atomicity(Bytes{}).ok) return false;
-    if (!lds::harness::verify_read_freshness(h).ok) return false;
+    out.verified =
+        out.verified && harness::verify_history(svc.shard_history(s)).ok();
   }
-  return true;
+  out.metrics_json = svc.metrics().to_json();
+  if (opt.cache) {
+    add_cache_stats(client, &out);
+    out.client_metrics_json = client.metrics().to_json();
+  }
+  return out;
 }
 
 ReplicaResult run_replica(const BenchOptions& opt, std::size_t shards,
@@ -231,17 +240,8 @@ ReplicaResult run_replica(const BenchOptions& opt, std::size_t shards,
   }
   svc.quiesce([&] { return remaining == 0; });
 
-  ReplicaResult out;
+  ReplicaResult out = service_result(opt, svc, client);
   out.duration = done_time;
-  out.ops = opt.ops;
-  out.batches = svc.metrics().counter_total("batches");
-  out.coalesced = svc.metrics().counter_total("puts_coalesced");
-  out.verified = verify_service(svc);
-  out.metrics_json = svc.metrics().to_json();
-  if (opt.cache) {
-    add_cache_stats(client, &out);
-    out.client_metrics_json = client.metrics().to_json();
-  }
   return out;
 }
 
@@ -295,18 +295,8 @@ ReplicaResult run_parallel(const BenchOptions& opt, std::size_t shards,
   svc.quiesce(
       [&] { return to_issue.load(std::memory_order_acquire) == 0; });
 
-  ReplicaResult out;
-  out.duration = 0;  // lanes have independent clocks; wall time is the metric
-  out.ops = opt.ops;
-  out.batches = svc.metrics().counter_total("batches");
-  out.coalesced = svc.metrics().counter_total("puts_coalesced");
-  out.verified = verify_service(svc);
-  out.metrics_json = svc.metrics().to_json();
-  if (opt.cache) {
-    add_cache_stats(client, &out);
-    out.client_metrics_json = client.metrics().to_json();
-  }
-  return out;
+  // Lanes have independent clocks; wall time is the metric (duration 0).
+  return service_result(opt, svc, client);
 }
 
 /// One --remote configuration: opt.threads clients (each a `connections`-wide
@@ -318,47 +308,18 @@ ReplicaResult run_parallel(const BenchOptions& opt, std::size_t shards,
 /// recorded with their validated tags.
 ReplicaResult run_remote(const BenchOptions& opt, std::size_t value_size,
                          std::size_t connections, std::uint64_t seed) {
-  struct SharedHistory {
-    std::mutex mu;
-    core::History history;
-    std::unordered_map<std::string, ObjectId> objects;
-    std::size_t errors = 0;
-
-    ObjectId intern(const std::string& key) {
-      const auto it = objects.find(key);
-      if (it != objects.end()) return it->second;
-      const auto obj = static_cast<ObjectId>(objects.size());
-      objects.emplace(key, obj);
-      return obj;
-    }
-    void record(OpId id, core::OpKind kind, const std::string& key,
-                NodeId client, double invoked, double responded, Tag tag,
-                Value value) {
-      std::lock_guard<std::mutex> lk(mu);
-      const std::size_t idx =
-          history.on_invoke(id, kind, intern(key), client, invoked);
-      history.on_response(idx, responded, tag, std::move(value));
-    }
-    void error() {
-      std::lock_guard<std::mutex> lk(mu);
-      ++errors;
-    }
-  };
-
   const harness::WorkloadModel model = make_model(opt, value_size);
-  std::vector<std::unique_ptr<SharedHistory>> tenants;
-  for (std::size_t t = 0; t < opt.tenants; ++t) {
-    tenants.push_back(std::make_unique<SharedHistory>());
-  }
+  // One recorder per tenant; ClientRecorder decides how each outcome is
+  // recorded.  This bench additionally counts every failed op as an error.
+  std::vector<harness::ClientRecorder> tenants(opt.tenants);
   store::Histogram put_lat_ms, get_lat_ms;  // thread-safe (internal lock)
-  const auto t0 = std::chrono::steady_clock::now();
-  const auto now_s = [&t0] {
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-        .count();
-  };
+  const auto t0 = harness::Clock::now();
+  const auto now_s = [&t0] { return harness::seconds_since(t0); };
   store::Client::ConnectOptions copts;
   copts.connections = connections;
   copts.cache = bench_cache(opt);
+  ReplicaResult out;  // duration stays 0: wall time is the remote metric
+  out.ops = opt.ops;
 
   // Priming pass: the server may be long-lived, holding versions from
   // sessions this history never saw.  Writing every key once — strictly
@@ -378,8 +339,6 @@ ReplicaResult run_remote(const BenchOptions& opt, std::size_t value_size,
     if (primer == nullptr) {
       std::fprintf(stderr, "remote connect failed: %s\n",
                    st.to_string().c_str());
-      ReplicaResult out;
-      out.ops = opt.ops;
       out.verified = false;
       return out;
     }
@@ -393,21 +352,14 @@ ReplicaResult run_remote(const BenchOptions& opt, std::size_t value_size,
         store::PutResult r;
         primer->put(key, value, [&r](const store::PutResult& pr) { r = pr; });
         const double resp = now_s();
-        if (r.status.ok() && !r.coalesced) {
-          tenants[t]->record(make_op_id(0, ++seq), core::OpKind::Write, key,
-                             0, inv, resp, r.tag, value);
-        } else if (!r.status.ok()) {
-          tenants[t]->error();
-        }
+        tenants[t].record_put(key, make_op_id(0, ++seq), 0, inv, resp, r,
+                              value);
       }
     }
   }
 
   std::atomic<bool> connect_failed{false};
-  std::atomic<std::uint64_t> agg_hits{0}, agg_misses{0}, agg_validations{0},
-      agg_invalidations{0}, agg_saved{0};
-  std::mutex cm_mu;
-  std::string client_metrics_json;
+  std::mutex cache_mu;  // guards the cache counters workers sum into `out`
   std::vector<std::thread> workers;
   for (std::size_t t = 0; t < opt.threads; ++t) {
     workers.emplace_back([&, t] {
@@ -423,51 +375,17 @@ ReplicaResult run_remote(const BenchOptions& opt, std::size_t value_size,
       Rng rng(mix_seed(seed, 0xec0 + t));
       const NodeId me = static_cast<NodeId>(t + 1);
       const std::size_t tenant = model.tenant_of_client(t);
-      SharedHistory& shared = *tenants[tenant];
+      harness::ClientRecorder& rec = tenants[tenant];
       std::uint32_t seq = 0;
       const std::size_t my_ops =
           opt.ops / opt.threads + (t < opt.ops % opt.threads ? 1 : 0);
       auto key_of = [&] { return model.key_name(tenant, model.key_index(rng)); };
       auto harvest = [&] {
         if (!opt.cache) return;
-        const auto& m = client->metrics();
-        agg_hits += m.counter_total("cache_hits");
-        agg_misses += m.counter_total("cache_misses");
-        agg_validations += m.counter_total("cache_validation_rounds");
-        agg_invalidations += m.counter_total("cache_invalidations");
-        agg_saved += m.counter_total("wire_value_bytes_saved");
-        std::lock_guard<std::mutex> lk(cm_mu);
-        if (client_metrics_json.empty()) {
-          client_metrics_json = m.to_json();
-        }
-      };
-      auto record_get = [&](const std::string& key, double inv, double resp,
-                            const store::GetResult& r) {
-        if (r.status.ok()) {
-          shared.record(make_op_id(me, ++seq), core::OpKind::Read, key, me,
-                        inv, resp, r.tag, r.value);
-        } else if (r.status.is(StatusCode::kNotFound)) {
-          // NotFound is the initial value: recording it as (t0, empty) makes
-          // a stale NotFound after a completed put a checkable violation.
-          shared.record(make_op_id(me, ++seq), core::OpKind::Read, key, me,
-                        inv, resp, kTag0, Value{});
-        } else {
-          shared.error();
-        }
-      };
-      auto record_put = [&](const std::string& key, double inv, double resp,
-                            const store::PutResult& r, const Value& value) {
-        if (r.status.ok()) {
-          // A coalesced put was absorbed by a newer same-key write: its
-          // value is never readable and its tag belongs to the survivor,
-          // so it has no linearization-visible record (exactly as the
-          // server-side history skips absorbed puts by design).
-          if (!r.coalesced) {
-            shared.record(make_op_id(me, ++seq), core::OpKind::Write, key,
-                          me, inv, resp, r.tag, value);
-          }
-        } else {
-          shared.error();
+        std::lock_guard<std::mutex> lk(cache_mu);
+        add_cache_stats(*client, &out);
+        if (out.client_metrics_json.empty()) {
+          out.client_metrics_json = client->metrics().to_json();
         }
       };
 
@@ -492,10 +410,12 @@ ReplicaResult run_remote(const BenchOptions& opt, std::size_t value_size,
           const double lat = (resp - p.sched) * 1e3;
           if (p.is_put) {
             put_lat_ms.record(lat);
-            record_put(p.key, p.sched, resp, c.put, p.value);
+            rec.record_put(p.key, make_op_id(me, ++seq), me, p.sched, resp,
+                           c.put, p.value);
           } else {
             get_lat_ms.record(lat);
-            record_get(p.key, p.sched, resp, c.get);
+            rec.record_get(p.key, make_op_id(me, ++seq), me, p.sched, resp,
+                           c.get);
           }
           pend.erase(it);
         };
@@ -551,7 +471,8 @@ ReplicaResult run_remote(const BenchOptions& opt, std::size_t value_size,
             const double resp = now_s();
             get_lat_ms.record((resp - inv) * 1e3);
             for (std::size_t k = 0; k < keys.size(); ++k) {
-              record_get(keys[k], inv, resp, rs[k]);
+              rec.record_get(keys[k], make_op_id(me, ++seq), me, inv, resp,
+                             rs[k]);
             }
           } else {
             const std::string key = key_of();
@@ -560,7 +481,7 @@ ReplicaResult run_remote(const BenchOptions& opt, std::size_t value_size,
                         [&r](const store::GetResult& gr) { r = gr; });
             const double resp = now_s();
             get_lat_ms.record((resp - inv) * 1e3);
-            record_get(key, inv, resp, r);
+            rec.record_get(key, make_op_id(me, ++seq), me, inv, resp, r);
           }
         } else {
           const std::string key = key_of();
@@ -570,7 +491,7 @@ ReplicaResult run_remote(const BenchOptions& opt, std::size_t value_size,
                       [&r](const store::PutResult& pr) { r = pr; });
           const double resp = now_s();
           put_lat_ms.record((resp - inv) * 1e3);
-          record_put(key, inv, resp, r, value);
+          rec.record_put(key, make_op_id(me, ++seq), me, inv, resp, r, value);
         }
       }
       harvest();
@@ -578,35 +499,31 @@ ReplicaResult run_remote(const BenchOptions& opt, std::size_t value_size,
   }
   for (auto& w : workers) w.join();
 
-  ReplicaResult out;
-  out.duration = 0;  // wall time is the remote metric
-  out.ops = opt.ops;
   if (connect_failed.load(std::memory_order_acquire)) {
     out.verified = false;
     return out;
   }
-  out.verified = true;
   for (std::size_t t = 0; t < tenants.size(); ++t) {
-    SharedHistory& shared = *tenants[t];
+    harness::ClientRecorder& rec = tenants[t];
     const std::string who =
         tenants.size() > 1 ? "tenant " + std::to_string(t) : "remote run";
-    if (shared.errors > 0) {
+    const std::size_t errors = rec.counts().failed();
+    if (errors > 0) {
       std::fprintf(stderr, "%s: %zu operations failed\n", who.c_str(),
-                   shared.errors);
+                   errors);
     }
-    const auto atomicity = shared.history.check_atomicity(Bytes{});
-    if (!atomicity.ok) {
+    rec.reconcile();
+    const harness::HistoryVerdict v = harness::verify_history(rec.history());
+    if (!v.atomicity.ok) {
       std::fprintf(stderr, "%s: ATOMICITY VIOLATION: %s\n", who.c_str(),
-                   atomicity.violation.c_str());
+                   v.atomicity.violation.c_str());
     }
-    const auto freshness =
-        lds::harness::verify_read_freshness(shared.history);
-    if (!freshness.ok) {
+    if (!v.freshness.ok) {
       std::fprintf(stderr, "%s: FRESHNESS VIOLATION: %s\n", who.c_str(),
-                   freshness.violation.c_str());
+                   v.freshness.violation.c_str());
     }
-    out.verified = out.verified && atomicity.ok && freshness.ok &&
-                   shared.errors == 0;
+    out.verified =
+        out.verified && v.atomicity.ok && v.freshness.ok && errors == 0;
   }
   out.latency_json = "{\"put_ms\":" + histogram_json(put_lat_ms) +
                      ",\"get_ms\":" + histogram_json(get_lat_ms) + "}";
@@ -614,12 +531,6 @@ ReplicaResult run_remote(const BenchOptions& opt, std::size_t value_size,
                         get_lat_ms.percentile(0.99));
   out.get_p50_ms = get_lat_ms.percentile(0.5);
   out.get_p99_ms = get_lat_ms.percentile(0.99);
-  out.cache_hits = agg_hits.load();
-  out.cache_misses = agg_misses.load();
-  out.cache_validations = agg_validations.load();
-  out.cache_invalidations = agg_invalidations.load();
-  out.bytes_saved = agg_saved.load();
-  out.client_metrics_json = std::move(client_metrics_json);
   return out;
 }
 
