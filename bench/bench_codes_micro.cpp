@@ -1,5 +1,5 @@
 // E9: micro-benchmarks of the coding substrate - GF kernels, Reed-Solomon,
-// product-matrix MBR/MSR encode / decode / helper / repair throughput.
+// product-matrix MBR encode / decode / helper / repair throughput.
 //
 // Two modes:
 //   (default)        google-benchmark over the BM_* suites below.
@@ -17,7 +17,6 @@
 
 #include "bench_util.h"
 #include "codes/pm_mbr.h"
-#include "codes/pm_msr.h"
 #include "codes/rs.h"
 #include "codes/striped.h"
 #include "common/rng.h"
@@ -149,37 +148,6 @@ void BM_PmMbrRepair(benchmark::State& state) {
 }
 BENCHMARK(BM_PmMbrRepair)->Arg(4096)->Arg(64 * 1024);
 
-void BM_PmMsrEncode(benchmark::State& state) {
-  const std::size_t n = 14, k = 5;  // d = 8
-  codes::StripedCode code(std::make_shared<codes::PmMsrCode>(n, k));
-  Rng rng(9);
-  const Bytes value = rng.bytes(static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(code.encode_value(value));
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          state.range(0));
-}
-BENCHMARK(BM_PmMsrEncode)->Arg(4096)->Arg(64 * 1024);
-
-void BM_PmMsrDecode(benchmark::State& state) {
-  const std::size_t n = 14, k = 5;
-  codes::StripedCode code(std::make_shared<codes::PmMsrCode>(n, k));
-  Rng rng(10);
-  const Bytes value = rng.bytes(static_cast<std::size_t>(state.range(0)));
-  const auto elems = code.encode_value(value);
-  std::vector<codes::IndexedBytes> input;
-  for (std::size_t i = 0; i < k; ++i) {
-    input.emplace_back(static_cast<int>(i + 1), elems[i + 1]);
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(code.decode_value(input));
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          state.range(0));
-}
-BENCHMARK(BM_PmMsrDecode)->Arg(4096);
-
 // ---- --json snapshot mode ---------------------------------------------------
 
 /// Wall-clock GB/s of `op` (which processes `bytes` per call), timed over
@@ -253,8 +221,6 @@ int run_snapshot(int argc, char** argv) {
        codes::StripedCode(std::make_shared<codes::RsRegenerating>(14, 10))},
       {"pm_mbr_20_8_8",
        codes::StripedCode(std::make_shared<codes::PmMbrCode>(20, 8, 8))},
-      {"pm_msr_14_5",
-       codes::StripedCode(std::make_shared<codes::PmMsrCode>(14, 5))},
   };
   net::ParallelEngine::Options popt;
   popt.lanes = 4;

@@ -1,15 +1,14 @@
 // Shared helpers for the system bench binaries (E1-E8): configuration
-// builders matching the paper's parameter regimes, fixed-width table
-// printing of formula-vs-measured rows, and the `--json <path>` reporter
-// every bench binary uses to emit machine-readable results alongside its
-// human table (the BENCH_*.json perf-trajectory input).
+// builders matching the paper's parameter regimes and fixed-width table
+// printing of formula-vs-measured rows.  Machine-readable results go
+// through JsonReporter (json_reporter.h), the BENCH_*.json row writer.
 #pragma once
 
 #include <cstdio>
 #include <string>
-#include <string_view>
 #include <vector>
 
+#include "json_reporter.h"
 #include "lds/analysis.h"
 #include "lds/cluster.h"
 
@@ -54,59 +53,5 @@ inline void print_header(const std::vector<std::string>& cols) {
 inline void print_cell(double v) { std::printf("%16.3f", v); }
 inline void print_cell(std::size_t v) { std::printf("%16zu", v); }
 inline void print_cell(const char* s) { std::printf("%16s", s); }
-
-/// Machine-readable bench results.  Construct from argv (recognizes
-/// `--json <path>`, ignores everything else so benches stay zero-config),
-/// call add() once per measured quantity, and the destructor writes
-///
-///   {"bench":"<name>","results":[
-///     {"name":"<name>","params":"n=10 backend=mbr",
-///      "metric":"write_cost_normalized","value":12.5}, ...]}
-///
-/// No file is written when --json was not passed.
-class JsonReporter {
- public:
-  JsonReporter(int argc, char** argv, std::string bench_name)
-      : name_(std::move(bench_name)) {
-    for (int i = 1; i < argc; ++i) {
-      if (std::string_view(argv[i]) != "--json") continue;
-      if (i + 1 >= argc || argv[i + 1][0] == '-') {
-        std::fprintf(stderr, "bench: --json needs a path argument\n");
-        std::exit(2);
-      }
-      path_ = argv[i + 1];
-    }
-  }
-
-  void add(const std::string& params, const std::string& metric,
-           double value) {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.9g", value);
-    rows_.push_back("{\"name\":\"" + name_ + "\",\"params\":\"" + params +
-                    "\",\"metric\":\"" + metric + "\",\"value\":" + buf +
-                    "}");
-  }
-
-  ~JsonReporter() {
-    if (path_.empty()) return;
-    std::FILE* f = std::fopen(path_.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "bench: cannot write %s\n", path_.c_str());
-      return;
-    }
-    std::fputs(("{\"bench\":\"" + name_ + "\",\"results\":[").c_str(), f);
-    for (std::size_t i = 0; i < rows_.size(); ++i) {
-      if (i > 0) std::fputc(',', f);
-      std::fputs(rows_[i].c_str(), f);
-    }
-    std::fputs("]}\n", f);
-    std::fclose(f);
-  }
-
- private:
-  std::string name_;
-  std::string path_;
-  std::vector<std::string> rows_;
-};
 
 }  // namespace lds::bench

@@ -18,16 +18,17 @@
 #   OUT              output path (default BENCH_multiproc.json)
 #
 # The head's SIGTERM self-verification and the peer's clean exit gate the
-# result: a json is only written if both phases were verified.
+# result: a json is only written if both phases were verified.  It holds
+# both runs' lds_store_bench rows, each params prefixed with
+# phase=in_process or phase=multi_process.
 set -euo pipefail
 
 SERVED_BIN=${SERVED_BIN:-build/lds_served}
 STORE_BENCH_BIN=${STORE_BENCH_BIN:-build/lds_store_bench}
-# Exported so the report-merging python step can record the workload shape.
-export OPS=${OPS:-3000}
-export THREADS=${THREADS:-4}
-export KEYS=${KEYS:-16}
-export VALUE_SIZE=${VALUE_SIZE:-256}
+OPS=${OPS:-3000}
+THREADS=${THREADS:-4}
+KEYS=${KEYS:-16}
+VALUE_SIZE=${VALUE_SIZE:-256}
 SEED=${SEED:-1}
 OUT=${OUT:-BENCH_multiproc.json}
 
@@ -104,51 +105,20 @@ if ! wait "$head_pid"; then
 fi
 head_pid=""
 
+# Merge both runs' rows into one document, tagging each row with its phase.
 python3 - "$work/inproc.json" "$work/multiproc.json" "$OUT" <<'PY'
-import json, os, sys
-inproc = json.load(open(sys.argv[1]))["configs"][0]
-multi = json.load(open(sys.argv[2]))["configs"][0]
-
-def lat(cfg):
-    return {op: {k: cfg["latency"][op][k]
-                 for k in ("count", "mean", "p50", "p99", "p999", "max")}
-            for op in ("put_ms", "get_ms")}
-
-out = {
-    "bench": "multiproc",
-    "host": {"cpus": os.cpu_count()},
-    "workload": {
-        "ops": int(os.environ.get("OPS", 3000)),
-        "threads": int(os.environ.get("THREADS", 4)),
-        "keys": int(os.environ.get("KEYS", 16)),
-        "value_size": int(os.environ.get("VALUE_SIZE", 256)),
-        "server": "lds_served --shards 1 --member-port 0 --member-dir ...",
-        "peer": "lds_served --join ... --node-ids 30004,30005",
-    },
-    "in_process": {
-        "placement": "epoch 1: all 6 L1 + 8 L2 servers in the head process",
-        "wall_ops_per_sec": inproc["wall_ops_per_sec"],
-        "latency": lat(inproc),
-    },
-    "multi_process": {
-        "placement": "epoch 2: L2 30004/30005 hosted by a joined peer, every"
-                     " quorum crosses a process boundary over loopback TCP",
-        "wall_ops_per_sec": multi["wall_ops_per_sec"],
-        "latency": lat(multi),
-    },
-    "p99_ratio": {
-        op: round(multi["latency"][op]["p99"] / inproc["latency"][op]["p99"], 3)
-        for op in ("put_ms", "get_ms")
-    },
-}
-json.dump(out, open(sys.argv[3], "w"), indent=1)
-print(f"{sys.argv[3]}:")
-for name, blk in (("in-process ", out["in_process"]),
-                  ("multi-proc ", out["multi_process"])):
-    l = blk["latency"]
-    print(f"  {name} {blk['wall_ops_per_sec']:9.1f} ops/s"
-          f"  put p99 {l['put_ms']['p99']:7.3f} ms"
-          f"  get p99 {l['get_ms']['p99']:7.3f} ms")
-print(f"  p99 ratio (multi/in): put {out['p99_ratio']['put_ms']}x"
-      f"  get {out['p99_ratio']['get_ms']}x")
+import json, sys
+rows = []
+for phase, path in (("in_process", sys.argv[1]), ("multi_process", sys.argv[2])):
+    for r in json.load(open(path))["results"]:
+        r["params"] = f"phase={phase} {r['params']}".strip()
+        rows.append(r)
+json.dump({"bench": "multiproc", "results": rows}, open(sys.argv[3], "w"),
+          indent=1)
+p99 = {(r["params"].split()[0], r["metric"]): r["value"] for r in rows
+       if r["metric"].endswith("_p99")}
+for op in ("put_ms", "get_ms"):
+    ratio = p99[("phase=multi_process", op + "_p99")] / \
+        p99[("phase=in_process", op + "_p99")]
+    print(f"{op} p99 multi/in-process: {ratio:.3f}x")
 PY

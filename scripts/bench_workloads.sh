@@ -7,18 +7,18 @@
 # draws).  The bench itself verifies both runs' client-observed histories
 # per tenant (atomicity + freshness), computes hit rate / p99 deltas /
 # bytes-on-wire saved, applies the gate (>=80% hit rate and >=30% p99 get
-# improvement at theta>=0.99, >=90% reads) and writes BENCH_workloads.json.
+# improvement at theta>=0.99, >=90% reads) and writes its rows to
+# BENCH_workloads.json.
 #
 #   scripts/bench_workloads.sh                      # writes BENCH_workloads.json
-#   OPS=20000 ZIPF_THETA=0.9 READ_PCT=80 scripts/bench_workloads.sh
+#   OPS=20000 ZIPF_THETA=0.9 READ_FRACTION=0.8 scripts/bench_workloads.sh
 #
 # Environment knobs:
 #   SERVED_BIN       lds_served binary (default build/lds_served)
 #   STORE_BENCH_BIN  lds_store_bench binary (default build/lds_store_bench)
 #   OPS / THREADS / KEYS / SEED     workload shape (default 12000/4/64/1)
-#   ZIPF_THETA / READ_PCT / TENANTS gate workload (default 0.99/95/2)
+#   ZIPF_THETA / READ_FRACTION / TENANTS  gate workload (default 0.99/0.95/2)
 #   VALUE_DIST       value-size spec (default uniform:256:4096)
-#   CACHE_TTL        client cache TTL seconds (default 0 = validate always)
 #   OUT              output path (default BENCH_workloads.json)
 #
 # The server's SIGTERM self-verification gates the result on top of the
@@ -33,10 +33,9 @@ THREADS=${THREADS:-4}
 KEYS=${KEYS:-64}
 SEED=${SEED:-1}
 ZIPF_THETA=${ZIPF_THETA:-0.99}
-READ_PCT=${READ_PCT:-95}
+READ_FRACTION=${READ_FRACTION:-0.95}
 TENANTS=${TENANTS:-2}
 VALUE_DIST=${VALUE_DIST:-uniform:256:4096}
-CACHE_TTL=${CACHE_TTL:-0}
 OUT=${OUT:-BENCH_workloads.json}
 
 for bin in "$SERVED_BIN" "$STORE_BENCH_BIN"; do
@@ -68,9 +67,9 @@ port=$(cat "$work/port")
 
 "$STORE_BENCH_BIN" --remote "127.0.0.1:$port" \
   --threads "$THREADS" --ops "$OPS" --keys "$KEYS" --seed "$SEED" \
-  --zipf-theta "$ZIPF_THETA" --read-pct "$READ_PCT" --tenants "$TENANTS" \
-  --value-dist "$VALUE_DIST" --cache-ttl "$CACHE_TTL" \
-  --compare-cache "$OUT"
+  --zipf-theta "$ZIPF_THETA" --read-fraction "$READ_FRACTION" \
+  --tenants "$TENANTS" --value-dist "$VALUE_DIST" \
+  --compare-cache --json "$OUT"
 
 # Verified shutdown: the server re-checks every shard history on SIGTERM and
 # exits non-zero on any violation.

@@ -73,20 +73,33 @@ void PeerHost::stop() {
   engine_.reset();
 }
 
+std::vector<std::size_t> PeerHost::on_lane(
+    const std::function<std::vector<std::size_t>()>& read) const {
+  // Stopped (or never started): no lane runs, the tables are quiescent.
+  if (!started_.load()) return read();
+  std::promise<std::vector<std::size_t>> done;
+  engine_->post(0, [&] { done.set_value(read()); });
+  return done.get_future().get();
+}
+
 std::vector<std::size_t> PeerHost::local_l1() const {
-  std::vector<std::size_t> out;
-  for (std::size_t j = 0; j < l1_.size(); ++j) {
-    if (l1_[j] != nullptr) out.push_back(j);
-  }
-  return out;
+  return on_lane([this] {
+    std::vector<std::size_t> out;
+    for (std::size_t j = 0; j < l1_.size(); ++j) {
+      if (l1_[j] != nullptr) out.push_back(j);
+    }
+    return out;
+  });
 }
 
 std::vector<std::size_t> PeerHost::local_l2() const {
-  std::vector<std::size_t> out;
-  for (std::size_t i = 0; i < l2_.size(); ++i) {
-    if (l2_[i] != nullptr) out.push_back(i);
-  }
-  return out;
+  return on_lane([this] {
+    std::vector<std::size_t> out;
+    for (std::size_t i = 0; i < l2_.size(); ++i) {
+      if (l2_[i] != nullptr) out.push_back(i);
+    }
+    return out;
+  });
 }
 
 // ---- view surgery (on lane 0) -----------------------------------------------

@@ -20,6 +20,7 @@
 #pragma once
 
 #include <atomic>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -64,11 +65,16 @@ class PeerHost {
   Fabric& fabric() { return fabric_; }
   std::uint64_t epoch() const { return fabric_.epoch(); }
 
-  /// Servers currently constructed here (for tests / status output).
+  /// Servers currently constructed here (for tests / status output).  Read
+  /// on lane 0 while the peer runs, so views being applied are not torn.
+  /// Call from the thread that owns start()/stop().
   std::vector<std::size_t> local_l1() const;
   std::vector<std::size_t> local_l2() const;
 
  private:
+  /// Runs `read` where the lane-confined server tables may be read.
+  std::vector<std::size_t> on_lane(
+      const std::function<std::vector<std::size_t>()>& read) const;
   void apply_view(const View& prev, const View& next);  // on lane
   void on_control(NodeId conn, ProcessId from, const MemberBody& body);
   void handle_sync(NodeId conn, const SyncL2& sync);

@@ -335,7 +335,8 @@ TEST(ParallelStore, ChurnedRunPassesAtomicityAndFreshnessVerifiers) {
   std::atomic<int> left{300};
   std::atomic<int> crash_budget{5};
   std::function<void(int)> issue = [&](int i) {
-    const std::string key = "k" + std::to_string((i * 7) % 24);
+    const std::string key =
+        std::string("k").append(std::to_string((i * 7) % 24));
     auto next = [&, i] {
       const int l = left.fetch_sub(1, std::memory_order_acq_rel);
       if (l > 240 && crash_budget.fetch_sub(1) > 0) {

@@ -88,7 +88,7 @@ TEST(StoreClient, OverAdmissionIsAdmissionRejectStatus) {
   std::vector<Status> rejected;
   std::size_t accepted = 0;
   for (int i = 0; i < 5; ++i) {
-    client.put("k" + std::to_string(i), Bytes{1},
+    client.put(std::string("k").append(std::to_string(i)), Bytes{1},
                [&](const PutResult& r) {
                  if (r.status.ok()) {
                    ++accepted;
@@ -625,10 +625,13 @@ TEST(StoreClientCache, DisabledCacheIsBitIdenticalToNoCacheClient) {
                                           : Client(svc);
     std::vector<Tag> tags;
     for (int k = 0; k < 3; ++k) {
-      EXPECT_TRUE(client.put_sync("k" + std::to_string(k), Bytes{9}).ok());
+      EXPECT_TRUE(client
+                      .put_sync(std::string("k").append(std::to_string(k)),
+                                Bytes{9})
+                      .ok());
     }
     for (int i = 0; i < 8; ++i) {
-      const std::string key = "k" + std::to_string(i % 3);
+      const std::string key = std::string("k").append(std::to_string(i % 3));
       if (i % 2 == 0) {
         const auto p =
             client.put_sync(key, Bytes{static_cast<std::uint8_t>(i)});

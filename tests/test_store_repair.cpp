@@ -21,7 +21,8 @@ TEST(StoreRepair, CrashedL2ServersAreRebuiltBeforeQuiesceReturns) {
   Rng rng(9);
   for (int i = 0; i < 6; ++i) {
     ASSERT_TRUE(
-        svc.put_sync("k" + std::to_string(i), rng.bytes(48)).status.ok());
+        svc.put_sync(std::string("k").append(std::to_string(i)), rng.bytes(48))
+            .status.ok());
   }
   Rng crash_rng(2);
   std::size_t injected = 0;
@@ -55,7 +56,8 @@ TEST(StoreRepair, GlobalBudgetBoundsConcurrentRepairs) {
   Rng rng(4);
   for (int i = 0; i < 8; ++i) {
     ASSERT_TRUE(
-        svc.put_sync("b" + std::to_string(i), rng.bytes(32)).status.ok());
+        svc.put_sync(std::string("b").append(std::to_string(i)), rng.bytes(32))
+            .status.ok());
   }
   // Two L2 crashes on every shard, near-simultaneously.
   Rng crash_rng(6);

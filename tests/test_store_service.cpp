@@ -104,7 +104,8 @@ TEST(StoreService, BatchingUnderConcurrentWritersStaysLinearizable) {
   std::function<void()> next = [&] {
     if (remaining == 0) return;
     --remaining;
-    const std::string key = "k" + std::to_string(rng.uniform_int(0, 3));
+    const std::string key =
+        std::string("k").append(std::to_string(rng.uniform_int(0, 3)));
     if (rng.bernoulli(0.4)) {
       svc.get(key, [&](const GetResult& r) {
         // A racing get may beat the key's first put: NotFound, not an error.

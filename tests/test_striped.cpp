@@ -7,7 +7,6 @@
 
 #include "codes/factory.h"
 #include "codes/pm_mbr.h"
-#include "codes/pm_msr.h"
 #include "codes/rs.h"
 #include "common/rng.h"
 #include "gf/gf256.h"
@@ -136,8 +135,6 @@ TEST(StripedPaths, PlanarMatchesStripewiseAllBackends) {
                     BackendKind::Replication}) {
     codes.emplace_back(backend_name(kind), make_backend(kind, 8, 3, 5));
   }
-  codes.emplace_back("pm_msr",
-                     StripedCode(std::make_shared<PmMsrCode>(8, 3)));
   Rng rng(21);
   for (auto& [name, code] : codes) {
     for (const std::size_t size : {0u, 1u, 9u, 333u, 4096u, 70000u}) {
@@ -234,7 +231,6 @@ std::vector<NamedStriped> read_path_codes() {
                     BackendKind::Replication}) {
     codes.push_back({backend_name(kind), make_backend(kind, 8, 3, 5)});
   }
-  codes.push_back({"pm_msr", StripedCode(std::make_shared<PmMsrCode>(8, 3))});
   return codes;
 }
 

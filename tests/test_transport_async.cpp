@@ -81,7 +81,8 @@ TEST(FrameReassembler, ReassemblesChunkedStreamsByteExact) {
   std::size_t want = 0;
   for (const std::size_t n : sizes) {
     const codec::Frame f =
-        store_put_frame(100 + want, "k" + std::to_string(n), n, rng);
+        store_put_frame(100 + want, std::string("k").append(std::to_string(n)),
+                        n, rng);
     const Bytes flat = f.to_bytes();
     stream.insert(stream.end(), flat.begin(), flat.end());
     ++want;
@@ -112,7 +113,7 @@ TEST(FrameReassembler, ReassemblesChunkedStreamsByteExact) {
       const auto* put = std::get_if<RemotePut>(&m->body());
       ASSERT_NE(put, nullptr);
       EXPECT_EQ(put->value.size(), sizes[i]);
-      EXPECT_EQ(put->key, "k" + std::to_string(sizes[i]));
+      EXPECT_EQ(put->key, std::string("k").append(std::to_string(sizes[i])));
     }
     // The big payloads never touched the block (zero-copy streaming kicks
     // in whenever a >=threshold payload is not already fully buffered).
@@ -332,7 +333,7 @@ TEST(AsyncClient, CompletionQueuePipeliningCompletesEveryHandle) {
   for (int i = 0; i < kOps; ++i) {
     put_handles.insert(client->async_put(
         "key-" + std::to_string(i),
-        Value::from_string("v" + std::to_string(i))));
+        Value::from_string(std::string("v").append(std::to_string(i)))));
   }
   ASSERT_EQ(put_handles.size(), static_cast<std::size_t>(kOps));
 
@@ -352,7 +353,7 @@ TEST(AsyncClient, CompletionQueuePipeliningCompletesEveryHandle) {
   std::map<std::uint64_t, std::string> want;
   for (int i = 0; i < kOps; ++i) {
     const std::string key = "key-" + std::to_string(i);
-    want[client->async_get(key)] = "v" + std::to_string(i);
+    want[client->async_get(key)] = std::string("v").append(std::to_string(i));
   }
   while (cq.outstanding() > 0) {
     ASSERT_TRUE(cq.wait(&c, 30.0));
@@ -494,11 +495,14 @@ TEST(AsyncClient, PoolFanOutHistoriesPassBothVerifiers) {
     workers.emplace_back([&, t] {
       Rng rng(100 + t);
       for (int i = 0; i < kOpsPerThread; ++i) {
-        const std::string key = "k" + std::to_string(rng.uniform_int(0, 4));
+        const std::string key =
+            std::string("k").append(std::to_string(rng.uniform_int(0, 4)));
         if (rng.bernoulli(0.5)) {
           const auto r = client->put_sync(
-              key, Value::from_string("t" + std::to_string(t) + "-" +
-                                      std::to_string(i)));
+              key, Value::from_string(std::string("t")
+                                          .append(std::to_string(t))
+                                          .append("-")
+                                          .append(std::to_string(i))));
           if (!r.ok()) failures.fetch_add(1);
         } else {
           const auto r = client->get_sync(key);
@@ -512,7 +516,7 @@ TEST(AsyncClient, PoolFanOutHistoriesPassBothVerifiers) {
   // Plus an async burst from this thread, drained through the queue.
   auto& cq = client->completions();
   for (int i = 0; i < 40; ++i) {
-    client->async_put("k" + std::to_string(i % 5),
+    client->async_put(std::string("k").append(std::to_string(i % 5)),
                       Value::from_string("async-" + std::to_string(i)));
   }
   store::Completion c;
@@ -527,7 +531,8 @@ TEST(AsyncClient, PoolFanOutHistoriesPassBothVerifiers) {
   std::vector<store::KeyValue> entries;
   for (int i = 0; i < 16; ++i) {
     entries.push_back({"bulk-" + std::to_string(i),
-                       Value::from_string("b" + std::to_string(i))});
+                       Value::from_string(
+                           std::string("b").append(std::to_string(i)))});
   }
   const auto puts = client->multi_put_sync(entries);
   ASSERT_EQ(puts.size(), entries.size());
@@ -766,7 +771,8 @@ TEST(RemoteRetry, MultiOpsRetryEachSubOperation) {
   ASSERT_NE(client, nullptr);
   std::vector<store::KeyValue> entries;
   for (int i = 0; i < 4; ++i) {
-    entries.push_back({"k" + std::to_string(i), Value::from_string("v")});
+    entries.push_back({std::string("k").append(std::to_string(i)),
+                       Value::from_string("v")});
   }
   std::vector<store::PutResult> puts;
   client->multi_put(

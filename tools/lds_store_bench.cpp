@@ -49,21 +49,18 @@
 //                            draws exponential interarrivals (Poisson
 //                            process) instead of a fixed spacing.
 // Per-op latency histograms (p50/p99/p999, milliseconds) are printed per
-// configuration and embedded in --json.  --require-scaling X fails the run
-// unless remote throughput at the largest --connections value is at least
-// X times the smallest's (the CI gate for connection-count scaling).
+// configuration.
 //
-// The JSON output carries one record per configuration (params, throughput,
-// wall time) plus the full MetricsRegistry snapshot of the first replica of
-// the largest configuration — batching/coalescing counters included — so CI
-// can track the perf trajectory and assert batching is actually engaged.
+// --json PATH writes JsonReporter rows (bench/json_reporter.h), the one row
+// shape of every BENCH_*.json file: one {name, params, metric, value} row
+// per number, `params` naming the sweep point ("engine= shards= threads=
+// connections= rate= value_size="), plus one host_cpus row.
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <chrono>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -74,6 +71,7 @@
 
 #include "harness/recorder.h"
 #include "harness/workload.h"
+#include "json_reporter.h"
 #include "store/client.h"
 
 namespace {
@@ -92,30 +90,37 @@ struct BenchOptions {
   std::size_t threads = 1;
   std::size_t ops = 4000;  ///< per replica per configuration
   std::size_t keys = 32;
-  std::size_t clients_per_shard = 4;
   double read_fraction = 0.5;
-  double batch_window = 0.5;
-  bool exponential_latency = false;
   std::uint64_t seed = 1;
-  std::string json_path;
   std::string remote_host;  ///< non-empty = drive a served instance
   std::uint16_t remote_port = 0;
   std::vector<std::size_t> connections = {1};  ///< remote: pool-size sweep
   double rate = 0;        ///< remote: open-loop offered load, ops/s (0 = closed)
   bool bursty = false;    ///< remote: Poisson arrivals instead of fixed spacing
-  double require_scaling = 0;  ///< remote: min tput ratio largest/smallest pool
   // Workload engine (shared with lds_stress via harness/workload.h).
   double zipf_theta = 0;    ///< key skew: 0 uniform, 0.99 = YCSB default
   std::string value_dist;   ///< "" = fixed at the swept value size
   std::size_t tenants = 1;  ///< disjoint key namespaces, threads round-robin
-  std::size_t tenant_inflight = 0;  ///< open loop: per-client admission (0=∞)
-  // Client read cache (version-validated tag-only rounds).
+  bool compare_cache = false;  ///< remote: same-seed cache off-vs-on A/B
+  /// Client read cache (version-validated tag-only rounds); set per leg of
+  /// --compare-cache.
   bool cache = false;
-  double cache_ttl = 0;
-  std::size_t cache_capacity = 4096;
-  std::string compare_cache_path;  ///< remote: cache off-vs-on A/B, JSON out
   bool multi_get_mix = true;  ///< closed loop: every 4th read is a multi_get
 };
+
+/// Closed-loop clients per shard in the in-process engines.
+constexpr std::size_t kClientsPerShard = 4;
+
+/// A latency histogram's summary, in milliseconds.
+struct LatencyMs {
+  std::uint64_t count = 0;
+  double mean = 0, p50 = 0, p99 = 0, p999 = 0, max = 0;
+};
+
+LatencyMs summarize(const store::Histogram& h) {
+  return {h.count(),           h.mean(),           h.percentile(0.5),
+          h.percentile(0.99), h.percentile(0.999), h.max()};
+}
 
 struct ReplicaResult {
   double duration = 0;  ///< sim time from first op to last completion
@@ -123,14 +128,10 @@ struct ReplicaResult {
   std::uint64_t batches = 0;
   std::uint64_t coalesced = 0;
   bool verified = true;  ///< every shard history passed both checkers
-  std::string metrics_json;
-  std::string latency_json;  ///< remote: {"put_ms":{...},"get_ms":{...}}
-  double p99_ms = 0;         ///< remote: worse of put/get p99, for the table
-  double get_p50_ms = 0, get_p99_ms = 0;  ///< remote: get-only percentiles
+  LatencyMs put_ms, get_ms;  ///< remote only
   /// Client read-cache counters, summed over the driving clients.
   std::uint64_t cache_hits = 0, cache_misses = 0, cache_validations = 0,
                 cache_invalidations = 0, bytes_saved = 0;
-  std::string client_metrics_json;  ///< one client's registry, cache runs
 };
 
 harness::WorkloadModel make_model(const BenchOptions& opt,
@@ -153,14 +154,6 @@ harness::WorkloadModel make_model(const BenchOptions& opt,
   return harness::WorkloadModel(w);
 }
 
-store::CacheOptions bench_cache(const BenchOptions& opt) {
-  store::CacheOptions c;
-  c.enabled = opt.cache;
-  c.ttl = opt.cache_ttl;
-  c.capacity = opt.cache_capacity;
-  return c;
-}
-
 void add_cache_stats(const Client& client, ReplicaResult* out) {
   const auto& m = client.metrics();
   out->cache_hits += m.counter_total("cache_hits");
@@ -170,21 +163,9 @@ void add_cache_stats(const Client& client, ReplicaResult* out) {
   out->bytes_saved += m.counter_total("wire_value_bytes_saved");
 }
 
-std::string histogram_json(const lds::store::Histogram& h) {
-  char buf[192];
-  std::snprintf(buf, sizeof(buf),
-                "{\"count\":%llu,\"mean\":%.3f,\"p50\":%.3f,\"p99\":%.3f,"
-                "\"p999\":%.3f,\"max\":%.3f}",
-                static_cast<unsigned long long>(h.count()), h.mean(),
-                h.percentile(0.5), h.percentile(0.99), h.percentile(0.999),
-                h.max());
-  return buf;
-}
-
-/// The in-process tail both engines share: service counters, the verdict
-/// over every shard history (atomicity + freshness), and the cache stats.
-ReplicaResult service_result(const BenchOptions& opt, StoreService& svc,
-                             const Client& client) {
+/// The in-process tail both engines share: service counters and the
+/// verdict over every shard history (atomicity + freshness).
+ReplicaResult service_result(const BenchOptions& opt, StoreService& svc) {
   ReplicaResult out;
   out.ops = opt.ops;
   out.batches = svc.metrics().counter_total("batches");
@@ -193,11 +174,6 @@ ReplicaResult service_result(const BenchOptions& opt, StoreService& svc,
     out.verified =
         out.verified && harness::verify_history(svc.shard_history(s)).ok();
   }
-  out.metrics_json = svc.metrics().to_json();
-  if (opt.cache) {
-    add_cache_stats(client, &out);
-    out.client_metrics_json = client.metrics().to_json();
-  }
   return out;
 }
 
@@ -205,11 +181,9 @@ ReplicaResult run_replica(const BenchOptions& opt, std::size_t shards,
                           std::size_t value_size, std::uint64_t seed) {
   StoreOptions sopt;
   sopt.shards = shards;
-  sopt.batch_window = opt.batch_window;
-  sopt.exponential_latency = opt.exponential_latency;
   sopt.seed = seed;
   StoreService svc(sopt);
-  Client client(svc, bench_cache(opt));
+  Client client(svc);
   const harness::WorkloadModel model = make_model(opt, value_size);
   Rng rng(mix_seed(seed, 0xb0));
 
@@ -234,13 +208,13 @@ ReplicaResult run_replica(const BenchOptions& opt, std::size_t shards,
                  [complete](const PutResult&) { complete(); });
     }
   };
-  const std::size_t clients = opt.clients_per_shard * shards;
+  const std::size_t clients = kClientsPerShard * shards;
   for (std::size_t c = 0; c < clients; ++c) {
     svc.sim().at(0.0, [&next, t = model.tenant_of_client(c)] { next(t); });
   }
   svc.quiesce([&] { return remaining == 0; });
 
-  ReplicaResult out = service_result(opt, svc, client);
+  ReplicaResult out = service_result(opt, svc);
   out.duration = done_time;
   return out;
 }
@@ -253,13 +227,11 @@ ReplicaResult run_parallel(const BenchOptions& opt, std::size_t shards,
                            std::size_t value_size, std::uint64_t seed) {
   StoreOptions sopt;
   sopt.shards = shards;
-  sopt.batch_window = opt.batch_window;
-  sopt.exponential_latency = opt.exponential_latency;
   sopt.seed = seed;
   sopt.engine_mode = lds::net::EngineMode::Parallel;
   sopt.engine_threads = opt.threads;
   StoreService svc(sopt);
-  Client client(svc, bench_cache(opt));
+  Client client(svc);
   const harness::WorkloadModel model = make_model(opt, value_size);
 
   struct Chain {
@@ -267,7 +239,7 @@ ReplicaResult run_parallel(const BenchOptions& opt, std::size_t shards,
     std::size_t left = 0;
     std::size_t tenant = 0;
   };
-  const std::size_t clients = opt.clients_per_shard * shards;
+  const std::size_t clients = kClientsPerShard * shards;
   std::vector<std::unique_ptr<Chain>> chains;
   for (std::size_t c = 0; c < clients; ++c) {
     auto chain = std::make_unique<Chain>();
@@ -296,7 +268,7 @@ ReplicaResult run_parallel(const BenchOptions& opt, std::size_t shards,
       [&] { return to_issue.load(std::memory_order_acquire) == 0; });
 
   // Lanes have independent clocks; wall time is the metric (duration 0).
-  return service_result(opt, svc, client);
+  return service_result(opt, svc);
 }
 
 /// One --remote configuration: opt.threads clients (each a `connections`-wide
@@ -317,7 +289,7 @@ ReplicaResult run_remote(const BenchOptions& opt, std::size_t value_size,
   const auto now_s = [&t0] { return harness::seconds_since(t0); };
   store::Client::ConnectOptions copts;
   copts.connections = connections;
-  copts.cache = bench_cache(opt);
+  copts.cache.enabled = opt.cache;
   ReplicaResult out;  // duration stays 0: wall time is the remote metric
   out.ops = opt.ops;
 
@@ -384,9 +356,6 @@ ReplicaResult run_remote(const BenchOptions& opt, std::size_t value_size,
         if (!opt.cache) return;
         std::lock_guard<std::mutex> lk(cache_mu);
         add_cache_stats(*client, &out);
-        if (out.client_metrics_json.empty()) {
-          out.client_metrics_json = client->metrics().to_json();
-        }
       };
 
       if (opt.rate > 0) {
@@ -426,18 +395,6 @@ ReplicaResult run_remote(const BenchOptions& opt, std::size_t value_size,
         for (std::size_t i = 0; i < my_ops; ++i) {
           due += opt.bursty ? rng.exponential(interarrival) : interarrival;
           while (now_s() < due) {
-            if (cq.poll(&c)) {
-              on_completion(c);
-            } else {
-              std::this_thread::sleep_for(std::chrono::microseconds(100));
-            }
-          }
-          // Per-tenant admission: a tenant's client stops submitting past
-          // its inflight cap and drains instead, so one hot tenant cannot
-          // queue unboundedly ahead of the others.  Late arrivals are still
-          // charged from their INTENDED time (the due clock keeps running).
-          while (opt.tenant_inflight > 0 &&
-                 pend.size() >= opt.tenant_inflight) {
             if (cq.poll(&c)) {
               on_completion(c);
             } else {
@@ -525,52 +482,90 @@ ReplicaResult run_remote(const BenchOptions& opt, std::size_t value_size,
     out.verified =
         out.verified && v.atomicity.ok && v.freshness.ok && errors == 0;
   }
-  out.latency_json = "{\"put_ms\":" + histogram_json(put_lat_ms) +
-                     ",\"get_ms\":" + histogram_json(get_lat_ms) + "}";
-  out.p99_ms = std::max(put_lat_ms.percentile(0.99),
-                        get_lat_ms.percentile(0.99));
-  out.get_p50_ms = get_lat_ms.percentile(0.5);
-  out.get_p99_ms = get_lat_ms.percentile(0.99);
+  out.put_ms = summarize(put_lat_ms);
+  out.get_ms = summarize(get_lat_ms);
   return out;
 }
 
-/// --compare-cache PATH: same-seed cache-off vs cache-on A/B against a
-/// running lds_served instance.  Both runs replay the identical op stream
-/// (keys, mix, sizes — the cache consumes no Rng draws), so every delta is
-/// attributable to the cache.  Emits one JSON document with hit rate,
-/// get p50/p99 deltas, wire bytes saved, per-run verifier verdicts, and —
-/// when the workload qualifies (zipf-theta >= 0.99, reads >= 90%) — the
-/// pass/fail perf gate (hit rate >= 80%, p99 get improvement >= 30%,
-/// bytes saved > 0).  Exit status reflects the gate.
-int run_compare_cache(BenchOptions opt) {
+/// One sweep point's rows: the counts every run has, then the remote latency
+/// summaries and the read-cache counters where the run has them.
+void add_rows(bench::JsonReporter& json, const std::string& params,
+              const BenchOptions& opt, const ReplicaResult& r, double wall) {
+  json.add(params, "wall_ops_per_sec", static_cast<double>(r.ops) / wall);
+  json.add(params, "wall_seconds", wall);
+  json.add(params, "verified", r.verified ? 1 : 0);
+  json.add(params, "batches", static_cast<double>(r.batches));
+  json.add(params, "coalesced", static_cast<double>(r.coalesced));
+  if (!opt.remote_host.empty()) {
+    for (const auto& [op, l] : {std::pair{"put_ms_", r.put_ms},
+                                std::pair{"get_ms_", r.get_ms}}) {
+      const auto row = [&, op = op](const char* stat, double v) {
+        std::string metric = op;
+        metric += stat;
+        json.add(params, metric, v);
+      };
+      row("count", static_cast<double>(l.count));
+      row("mean", l.mean);
+      row("p50", l.p50);
+      row("p99", l.p99);
+      row("p999", l.p999);
+      row("max", l.max);
+    }
+  }
+  if (opt.cache) {
+    json.add(params, "cache_hits", static_cast<double>(r.cache_hits));
+    json.add(params, "cache_misses", static_cast<double>(r.cache_misses));
+    json.add(params, "cache_validation_rounds",
+             static_cast<double>(r.cache_validations));
+    json.add(params, "cache_invalidations",
+             static_cast<double>(r.cache_invalidations));
+    json.add(params, "wire_value_bytes_saved",
+             static_cast<double>(r.bytes_saved));
+  }
+}
+
+/// --compare-cache: same-seed cache-off vs cache-on A/B against a running
+/// lds_served instance.  Both runs replay the identical op stream (keys,
+/// mix, sizes — the cache consumes no Rng draws), so every delta is
+/// attributable to the cache.  Each run reports its rows under
+/// "cache=off|on <workload>"; the A/B rows (hit rate, get p50/p99
+/// improvement, the gate) go under the workload alone.  When the workload
+/// qualifies (zipf-theta >= 0.99, reads >= 90%) the gate is hit rate >= 80%,
+/// p99 get improvement >= 30% and bytes saved > 0; otherwise only the
+/// verifiers.  Exit status reflects the gate.
+int run_compare_cache(BenchOptions opt, bench::JsonReporter& json) {
   opt.multi_get_mix = false;  // measure the cached single-get path only
   const std::size_t value_size = opt.value_sizes.front();
   const std::size_t conns = opt.connections.front();
 
-  BenchOptions off = opt;
-  off.cache = false;
-  BenchOptions on = opt;
-  on.cache = true;
-
-  std::printf("compare-cache: zipf-theta=%.2f read-fraction=%.2f keys=%zu "
-              "tenants=%zu threads=%zu ops=%zu value-size=%zu ttl=%g "
-              "capacity=%zu seed=%llu\n",
-              opt.zipf_theta, opt.read_fraction, opt.keys, opt.tenants,
-              opt.threads, opt.ops, value_size, opt.cache_ttl,
-              opt.cache_capacity,
+  char buf[256];
+  std::snprintf(buf, sizeof(buf),
+                "zipf_theta=%g read_fraction=%g keys=%zu tenants=%zu "
+                "value_dist=%s threads=%zu connections=%zu ops=%zu",
+                opt.zipf_theta, opt.read_fraction, opt.keys, opt.tenants,
+                make_model(opt, value_size).options().value_dist.spec()
+                    .c_str(),
+                opt.threads, conns, opt.ops);
+  const std::string workload = buf;
+  std::printf("compare-cache: %s seed=%llu\n", workload.c_str(),
               static_cast<unsigned long long>(opt.seed));
 
-  auto timed = [&](const BenchOptions& o, double* wall) {
+  ReplicaResult runs[2];  // [0] cache off, [1] cache on
+  double walls[2] = {0, 0};
+  for (int on = 0; on < 2; ++on) {
+    BenchOptions o = opt;
+    o.cache = on == 1;
     const auto t0 = std::chrono::steady_clock::now();
-    ReplicaResult r = run_remote(o, value_size, conns, opt.seed);
-    *wall = std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                          t0)
-                .count();
-    return r;
-  };
-  double wall_off = 0, wall_on = 0;
-  const ReplicaResult roff = timed(off, &wall_off);
-  const ReplicaResult ron = timed(on, &wall_on);
+    runs[on] = run_remote(o, value_size, conns, opt.seed);
+    walls[on] = std::chrono::duration<double>(
+                    std::chrono::steady_clock::now() - t0)
+                    .count();
+    std::string params = on == 1 ? "cache=on " : "cache=off ";
+    params += workload;
+    add_rows(json, params, o, runs[on], walls[on]);
+  }
+  const ReplicaResult& roff = runs[0];
+  const ReplicaResult& ron = runs[1];
 
   const std::uint64_t lookups = ron.cache_hits + ron.cache_misses;
   const double hit_rate =
@@ -580,8 +575,8 @@ int run_compare_cache(BenchOptions opt) {
   auto improvement = [](double base, double now) {
     return base > 0 ? (base - now) / base : 0.0;
   };
-  const double p50_improv = improvement(roff.get_p50_ms, ron.get_p50_ms);
-  const double p99_improv = improvement(roff.get_p99_ms, ron.get_p99_ms);
+  const double p50_improv = improvement(roff.get_ms.p50, ron.get_ms.p50);
+  const double p99_improv = improvement(roff.get_ms.p99, ron.get_ms.p99);
   const bool gate_applicable =
       opt.zipf_theta >= 0.99 - 1e-9 && opt.read_fraction >= 0.9 - 1e-9;
   bool pass = roff.verified && ron.verified;
@@ -589,16 +584,21 @@ int run_compare_cache(BenchOptions opt) {
     pass = pass && hit_rate >= 0.8 && p99_improv >= 0.3 &&
            ron.bytes_saved > 0;
   }
+  json.add(workload, "hit_rate", hit_rate);
+  json.add(workload, "get_p50_improvement", p50_improv);
+  json.add(workload, "get_p99_improvement", p99_improv);
+  json.add(workload, "gate_applicable", gate_applicable ? 1 : 0);
+  json.add(workload, "gate_pass", pass ? 1 : 0);
 
   std::printf("\n%12s %12s %12s %12s %10s\n", "run", "get_p50_ms",
               "get_p99_ms", "wall_ops_s", "verified");
-  std::printf("%12s %12.3f %12.3f %12.0f %10s\n", "cache-off",
-              roff.get_p50_ms, roff.get_p99_ms,
-              static_cast<double>(opt.ops) / wall_off,
-              roff.verified ? "yes" : "NO");
-  std::printf("%12s %12.3f %12.3f %12.0f %10s\n", "cache-on", ron.get_p50_ms,
-              ron.get_p99_ms, static_cast<double>(opt.ops) / wall_on,
-              ron.verified ? "yes" : "NO");
+  for (int on = 0; on < 2; ++on) {
+    const ReplicaResult& r = runs[on];
+    std::printf("%12s %12.3f %12.3f %12.0f %10s\n",
+                on == 1 ? "cache-on" : "cache-off", r.get_ms.p50,
+                r.get_ms.p99, static_cast<double>(opt.ops) / walls[on],
+                r.verified ? "yes" : "NO");
+  }
   std::printf("\ncache: %llu hits / %llu misses (hit rate %.1f%%), "
               "%llu validation rounds, %llu value bytes kept off the wire\n",
               static_cast<unsigned long long>(ron.cache_hits),
@@ -613,75 +613,6 @@ int run_compare_cache(BenchOptions opt) {
                               : "verifiers only; workload below gate "
                                 "thresholds",
               pass ? "PASS" : "FAIL");
-
-  char buf[512];
-  std::string json = "{\"bench\":\"lds_store_bench_workloads\",";
-  std::snprintf(buf, sizeof(buf),
-                "\"workload\":{\"zipf_theta\":%.3f,\"read_fraction\":%.3f,"
-                "\"keys\":%zu,\"tenants\":%zu,\"value_size\":%zu,"
-                "\"value_dist\":\"%s\",\"rate\":%.1f,\"bursty\":%s,"
-                "\"threads\":%zu,\"connections\":%zu,\"ops\":%zu,"
-                "\"seed\":%llu},",
-                opt.zipf_theta, opt.read_fraction, opt.keys, opt.tenants,
-                value_size,
-                make_model(opt, value_size).options().value_dist.spec()
-                    .c_str(),
-                opt.rate, opt.bursty ? "true" : "false", opt.threads, conns,
-                opt.ops, static_cast<unsigned long long>(opt.seed));
-  json += buf;
-  std::snprintf(buf, sizeof(buf),
-                "\"cache\":{\"ttl\":%g,\"capacity\":%zu},", opt.cache_ttl,
-                opt.cache_capacity);
-  json += buf;
-  auto run_json = [&](const char* name, const ReplicaResult& r,
-                      double wall) {
-    std::snprintf(buf, sizeof(buf),
-                  "\"%s\":{\"get_p50_ms\":%.4f,\"get_p99_ms\":%.4f,"
-                  "\"wall_seconds\":%.3f,\"wall_ops_per_sec\":%.1f,"
-                  "\"verified\":%s,\"latency\":",
-                  name, r.get_p50_ms, r.get_p99_ms, wall,
-                  static_cast<double>(opt.ops) / wall,
-                  r.verified ? "true" : "false");
-    json += buf;
-    json += r.latency_json.empty() ? "{}" : r.latency_json;
-    json += "}";
-  };
-  run_json("cache_off", roff, wall_off);
-  json += ",";
-  run_json("cache_on", ron, wall_on);
-  std::snprintf(buf, sizeof(buf),
-                ",\"cache_counters\":{\"hits\":%llu,\"misses\":%llu,"
-                "\"hit_rate\":%.4f,\"validation_rounds\":%llu,"
-                "\"invalidations\":%llu,\"wire_value_bytes_saved\":%llu}",
-                static_cast<unsigned long long>(ron.cache_hits),
-                static_cast<unsigned long long>(ron.cache_misses), hit_rate,
-                static_cast<unsigned long long>(ron.cache_validations),
-                static_cast<unsigned long long>(ron.cache_invalidations),
-                static_cast<unsigned long long>(ron.bytes_saved));
-  json += buf;
-  std::snprintf(buf, sizeof(buf),
-                ",\"deltas\":{\"get_p50_improvement\":%.4f,"
-                "\"get_p99_improvement\":%.4f}"
-                ",\"gate\":{\"applicable\":%s,\"hit_rate_min\":0.8,"
-                "\"p99_improvement_min\":0.3,\"pass\":%s}}\n",
-                p50_improv, p99_improv, gate_applicable ? "true" : "false",
-                pass ? "true" : "false");
-  json += buf;
-  if (!ron.client_metrics_json.empty()) {
-    // Splice the full client registry in before the closing brace.
-    json.erase(json.size() - 2);  // strip "}\n"
-    json += ",\"client_metrics\":" + ron.client_metrics_json + "}\n";
-  }
-
-  std::FILE* f = std::fopen(opt.compare_cache_path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n",
-                 opt.compare_cache_path.c_str());
-    return 2;
-  }
-  std::fputs(json.c_str(), f);
-  std::fclose(f);
-  std::printf("json written to %s\n", opt.compare_cache_path.c_str());
   return pass ? 0 : 1;
 }
 
@@ -728,35 +659,21 @@ void usage(const char* argv0) {
       "                        over the async API (0 = closed loop)\n"
       "  --bursty              remote open loop: Poisson arrivals instead\n"
       "                        of fixed interarrival spacing\n"
-      "  --require-scaling X   remote: fail unless throughput at the\n"
-      "                        largest --connections value is >= X times\n"
-      "                        the smallest's\n"
       "  --shards LIST         comma-separated shard counts (1,2,4,8)\n"
       "  --value-sizes LIST    comma-separated value sizes in bytes (256)\n"
       "  --threads N           service replicas on OS threads (1)\n"
       "  --ops N               client ops per replica per config (4000)\n"
       "  --keys N              distinct keys per tenant (32)\n"
-      "  --clients N           closed-loop clients per shard (4)\n"
       "  --read-fraction X     fraction of ops that are gets (0.5)\n"
-      "  --read-pct N          same as --read-fraction N/100\n"
       "  --zipf-theta X        key skew in [0,1): 0 uniform, 0.99 YCSB (0)\n"
       "  --value-dist SPEC     fixed:N | uniform:LO:HI |\n"
       "                        bimodal:SMALL:LARGE:PCT (fixed per\n"
       "                        --value-sizes entry)\n"
       "  --tenants N           disjoint tenant key namespaces; clients/\n"
       "                        threads round-robin over them (1)\n"
-      "  --tenant-inflight N   remote open loop: per-client admission cap,\n"
-      "                        outstanding ops (0 = unlimited)\n"
-      "  --cache               enable the client read cache (version-\n"
-      "                        validated tag-only rounds)\n"
-      "  --cache-ttl X         cache: serve without validating for X s (0)\n"
-      "  --cache-capacity N    cache: LRU entry bound (4096)\n"
-      "  --compare-cache PATH  remote: same-seed cache off-vs-on A/B; write\n"
-      "                        the combined JSON (BENCH_workloads.json) and\n"
-      "                        exit with the perf-gate verdict\n"
-      "  --batch-window X      put-coalescing window in sim units (0.5)\n"
-      "  --exponential         exponential instead of fixed link delays\n"
-      "  --json PATH           write machine-readable results\n"
+      "  --compare-cache       remote: same-seed client read cache off-vs-on\n"
+      "                        A/B; exit with the perf-gate verdict\n"
+      "  --json PATH           write the result rows (JsonReporter shape)\n"
       "  --seed N              master seed (1)\n",
       argv0);
 }
@@ -806,9 +723,6 @@ int main(int argc, char** argv) {
       ok = v != nullptr && (opt.rate = std::strtod(v, nullptr)) > 0;
     } else if (arg == "--bursty") {
       opt.bursty = true;
-    } else if (arg == "--require-scaling") {
-      const char* v = next();
-      ok = v != nullptr && (opt.require_scaling = std::strtod(v, nullptr)) > 0;
     } else if (arg == "--value-sizes") {
       const char* v = next();
       ok = v && parse_size_list(v, &opt.value_sizes);
@@ -821,17 +735,10 @@ int main(int argc, char** argv) {
     } else if (arg == "--keys") {
       const char* v = next();
       ok = v && (opt.keys = std::strtoull(v, nullptr, 10)) >= 1;
-    } else if (arg == "--clients") {
-      const char* v = next();
-      ok = v && (opt.clients_per_shard = std::strtoull(v, nullptr, 10)) >= 1;
     } else if (arg == "--read-fraction") {
       const char* v = next();
       ok = v != nullptr;
       if (ok) opt.read_fraction = std::strtod(v, nullptr);
-    } else if (arg == "--read-pct") {
-      const char* v = next();
-      ok = v != nullptr;
-      if (ok) opt.read_fraction = std::strtod(v, nullptr) / 100.0;
     } else if (arg == "--zipf-theta") {
       const char* v = next();
       ok = v != nullptr;
@@ -843,33 +750,10 @@ int main(int argc, char** argv) {
     } else if (arg == "--tenants") {
       const char* v = next();
       ok = v && (opt.tenants = std::strtoull(v, nullptr, 10)) >= 1;
-    } else if (arg == "--tenant-inflight") {
-      const char* v = next();
-      ok = v != nullptr;
-      if (ok) opt.tenant_inflight = std::strtoull(v, nullptr, 10);
-    } else if (arg == "--cache") {
-      opt.cache = true;
-    } else if (arg == "--cache-ttl") {
-      const char* v = next();
-      ok = v != nullptr;
-      if (ok) opt.cache_ttl = std::strtod(v, nullptr);
-    } else if (arg == "--cache-capacity") {
-      const char* v = next();
-      ok = v && (opt.cache_capacity = std::strtoull(v, nullptr, 10)) >= 1;
     } else if (arg == "--compare-cache") {
-      const char* v = next();
-      ok = v != nullptr && *v != '\0';
-      if (ok) opt.compare_cache_path = v;
-    } else if (arg == "--batch-window") {
-      const char* v = next();
-      ok = v != nullptr;
-      if (ok) opt.batch_window = std::strtod(v, nullptr);
-    } else if (arg == "--exponential") {
-      opt.exponential_latency = true;
+      opt.compare_cache = true;
     } else if (arg == "--json") {
-      const char* v = next();
-      ok = v != nullptr;
-      if (ok) opt.json_path = v;
+      ok = next() != nullptr;  // JsonReporter reads the path from argv
     } else if (arg == "--seed") {
       const char* v = next();
       ok = v != nullptr;
@@ -899,31 +783,30 @@ int main(int argc, char** argv) {
                          "bimodal:SMALL:LARGE:PCT\n");
     return 2;
   }
-  if (!opt.compare_cache_path.empty()) {
-    if (opt.remote_host.empty()) {
-      std::fprintf(stderr, "--compare-cache requires --remote HOST:PORT\n");
-      return 2;
-    }
-    return run_compare_cache(opt);
+  const bool remote = !opt.remote_host.empty();
+  if (opt.compare_cache && !remote) {
+    std::fprintf(stderr, "--compare-cache requires --remote HOST:PORT\n");
+    return 2;
   }
 
-  const bool remote = !opt.remote_host.empty();
+  bench::JsonReporter json(argc, argv,
+                           opt.compare_cache ? "lds_store_bench_workloads"
+                                             : "lds_store_bench");
+  json.add("", "host_cpus", std::thread::hardware_concurrency());
+  if (opt.compare_cache) return run_compare_cache(opt, json);
+
   const bool parallel = opt.engine == lds::net::EngineMode::Parallel;
   const char* engine_name =
       remote ? "remote" : lds::net::engine_mode_name(opt.engine);
   std::printf("lds_store_bench: engine=%s threads=%zu ops%s=%zu keys=%zu "
-              "clients/shard=%zu read-fraction=%.2f batch-window=%.2f "
-              "seed=%llu\n",
+              "clients/shard=%zu read-fraction=%.2f seed=%llu\n",
               engine_name, opt.threads, parallel || remote ? "" : "/replica",
-              opt.ops, opt.keys, opt.clients_per_shard, opt.read_fraction,
-              opt.batch_window, static_cast<unsigned long long>(opt.seed));
-  if (opt.zipf_theta > 0 || opt.tenants > 1 || !opt.value_dist.empty() ||
-      opt.cache) {
-    std::printf("workload: zipf-theta=%g tenants=%zu value-dist=%s "
-                "cache=%s ttl=%g capacity=%zu\n",
+              opt.ops, opt.keys, kClientsPerShard, opt.read_fraction,
+              static_cast<unsigned long long>(opt.seed));
+  if (opt.zipf_theta > 0 || opt.tenants > 1 || !opt.value_dist.empty()) {
+    std::printf("workload: zipf-theta=%g tenants=%zu value-dist=%s\n",
                 opt.zipf_theta, opt.tenants,
-                opt.value_dist.empty() ? "(fixed)" : opt.value_dist.c_str(),
-                opt.cache ? "on" : "off", opt.cache_ttl, opt.cache_capacity);
+                opt.value_dist.empty() ? "(fixed)" : opt.value_dist.c_str());
   }
   if (remote) {
     std::printf("remote target: %s:%u (server chooses shards/backend; "
@@ -942,21 +825,13 @@ int main(int argc, char** argv) {
               "batches", "coalesced", "wall_s", "wall_ops_s", "p99_ms",
               "verified");
 
-  std::string json = "{\"bench\":\"lds_store_bench\",\"configs\":[";
   bool all_verified = true;
-  // Snapshot source: the largest shard count seen (not sweep order, which
-  // the user may pass descending).
-  std::string snapshot_metrics;
-  std::size_t snapshot_shards = 0;
-  bool first_cfg = true;
   // Remote mode sweeps value sizes x connections: the shard count lives
   // server-side.  Local engines ignore the connections dimension.
   const std::vector<std::size_t> shard_sweep =
       remote ? std::vector<std::size_t>{0} : opt.shards;
   const std::vector<std::size_t> conn_sweep =
       remote ? opt.connections : std::vector<std::size_t>{1};
-  // value_size -> (connections -> wall ops/s), for --require-scaling.
-  std::map<std::size_t, std::map<std::size_t, double>> scaling;
   for (std::size_t value_size : opt.value_sizes) {
     for (std::size_t shards : shard_sweep) {
      for (std::size_t conns : conn_sweep) {
@@ -983,123 +858,49 @@ int main(int argc, char** argv) {
                                         wall_start)
               .count();
 
-      double agg_tput = 0;
-      double max_dur = 0;
-      std::size_t total_ops = 0;
-      std::uint64_t batches = 0, coalesced = 0;
-      bool verified = true;
+      // Summed over the replicas; the latencies come from the first (remote
+      // runs have exactly one).
+      ReplicaResult total;
+      total.put_ms = results[0].put_ms;
+      total.get_ms = results[0].get_ms;
+      double sim_tput = 0;
       for (const auto& r : results) {
         if (r.duration > 0) {
-          agg_tput += static_cast<double>(r.ops) / r.duration;
+          sim_tput += static_cast<double>(r.ops) / r.duration;
         }
-        max_dur = std::max(max_dur, r.duration);
-        total_ops += r.ops;
-        batches += r.batches;
-        coalesced += r.coalesced;
-        verified = verified && r.verified;
+        total.duration = std::max(total.duration, r.duration);
+        total.ops += r.ops;
+        total.batches += r.batches;
+        total.coalesced += r.coalesced;
+        total.verified = total.verified && r.verified;
       }
-      const double wall_ops_s = static_cast<double>(total_ops) / wall;
-      const double p99_ms = results.empty() ? 0 : results[0].p99_ms;
       std::printf(
           "%8zu %6zu %12zu %12.1f %14.3f %10llu %10llu %10.2f %12.0f "
           "%8.2f %9s\n",
-          shards, conns, value_size, max_dur, agg_tput,
-          static_cast<unsigned long long>(batches),
-          static_cast<unsigned long long>(coalesced), wall, wall_ops_s,
-          p99_ms, verified ? "yes" : "NO");
-      all_verified = all_verified && verified;
-      if (remote) scaling[value_size][conns] = wall_ops_s;
+          shards, conns, value_size, total.duration, sim_tput,
+          static_cast<unsigned long long>(total.batches),
+          static_cast<unsigned long long>(total.coalesced), wall,
+          static_cast<double>(total.ops) / wall,
+          std::max(total.put_ms.p99, total.get_ms.p99),
+          total.verified ? "yes" : "NO");
+      all_verified = all_verified && total.verified;
 
-      char buf[448];
-      std::snprintf(buf, sizeof(buf),
-                    "%s{\"engine\":\"%s\",\"shards\":%zu,\"threads\":%zu,"
-                    "\"connections\":%zu,\"rate\":%.1f,"
-                    "\"value_size\":%zu,"
-                    "\"ops\":%zu,\"metric\":\"%s\","
-                    "\"value\":%.6f,\"batches\":%llu,\"coalesced\":%llu,"
-                    "\"wall_seconds\":%.3f,\"wall_ops_per_sec\":%.3f,"
-                    "\"verified\":%s",
-                    first_cfg ? "" : ",", engine_name, shards,
-                    opt.threads, conns, opt.rate, value_size, total_ops,
-                    parallel || remote ? "ops_per_sec_wall"
-                                       : "ops_per_sim_unit",
-                    parallel || remote ? wall_ops_s : agg_tput,
-                    static_cast<unsigned long long>(batches),
-                    static_cast<unsigned long long>(coalesced), wall,
-                    wall_ops_s, verified ? "true" : "false");
-      json += buf;
-      std::snprintf(buf, sizeof(buf),
-                    ",\"zipf_theta\":%.3f,\"tenants\":%zu,\"cache\":%s",
-                    opt.zipf_theta, opt.tenants,
-                    opt.cache ? "true" : "false");
-      json += buf;
-      if (opt.cache) {
-        std::uint64_t hits = 0, misses = 0, validations = 0, saved = 0;
-        for (const auto& r : results) {
-          hits += r.cache_hits;
-          misses += r.cache_misses;
-          validations += r.cache_validations;
-          saved += r.bytes_saved;
-        }
-        std::snprintf(buf, sizeof(buf),
-                      ",\"cache_hits\":%llu,\"cache_misses\":%llu,"
-                      "\"cache_validation_rounds\":%llu,"
-                      "\"wire_value_bytes_saved\":%llu",
-                      static_cast<unsigned long long>(hits),
-                      static_cast<unsigned long long>(misses),
-                      static_cast<unsigned long long>(validations),
-                      static_cast<unsigned long long>(saved));
-        json += buf;
-        if (!results[0].client_metrics_json.empty()) {
-          json += ",\"client_metrics\":" + results[0].client_metrics_json;
-        }
-      }
-      if (remote && !results.empty() && !results[0].latency_json.empty()) {
-        json += ",\"latency\":" + results[0].latency_json;
-      }
-      json += "}";
-      first_cfg = false;
-      if (shards >= snapshot_shards) {
-        snapshot_shards = shards;
-        snapshot_metrics = results[0].metrics_json;
-      }
+      char params[160];
+      std::snprintf(params, sizeof(params),
+                    "engine=%s shards=%zu threads=%zu connections=%zu "
+                    "rate=%g value_size=%zu",
+                    engine_name, shards, opt.threads, conns, opt.rate,
+                    value_size);
+      if (!parallel && !remote) json.add(params, "ops_per_sim_unit", sim_tput);
+      add_rows(json, params, opt, total, wall);
      }
     }
   }
-  json += "],\"metrics_snapshot\":" +
-          (snapshot_metrics.empty() ? "{}" : snapshot_metrics) + "}\n";
 
-  if (!opt.json_path.empty()) {
-    std::FILE* f = std::fopen(opt.json_path.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", opt.json_path.c_str());
-      return 2;
-    }
-    std::fputs(json.c_str(), f);
-    std::fclose(f);
-    std::printf("\njson written to %s\n", opt.json_path.c_str());
-  }
   if (!all_verified) {
     std::fprintf(stderr, "VERIFICATION FAILED: a shard history violated "
                          "atomicity/freshness\n");
     return 1;
-  }
-  if (remote && opt.require_scaling > 0) {
-    for (const auto& [vs, by_conns] : scaling) {
-      if (by_conns.size() < 2) continue;
-      const double lo = by_conns.begin()->second;
-      const double hi = by_conns.rbegin()->second;
-      const double ratio = lo > 0 ? hi / lo : 0;
-      std::printf("scaling value_size=%zu: %zu conns -> %zu conns = %.2fx "
-                  "(require >= %.2fx)\n",
-                  vs, by_conns.begin()->first, by_conns.rbegin()->first,
-                  ratio, opt.require_scaling);
-      if (ratio < opt.require_scaling) {
-        std::fprintf(stderr, "SCALING FAILED: %.2fx < required %.2fx\n",
-                     ratio, opt.require_scaling);
-        return 1;
-      }
-    }
   }
   return 0;
 }
