@@ -2,13 +2,13 @@
 # Workload-aware read-cache A/B over loopback TCP.
 #
 # Starts one lds_served and runs lds_store_bench --remote --compare-cache
-# against it: the identical seeded Zipfian/read-heavy workload twice, cache
-# off then cache on, same op stream byte for byte (the cache consumes no RNG
-# draws).  The bench itself verifies both runs' client-observed histories
-# per tenant (atomicity + freshness), computes hit rate / p99 deltas /
-# bytes-on-wire saved, applies the gate (>=80% hit rate and >=30% p99 get
-# improvement at theta>=0.99, >=90% reads) and writes its rows to
-# BENCH_workloads.json.
+# against it: the identical seeded Zipfian/read-heavy workload in three
+# alternating cache off/on pairs, same op stream byte for byte every leg
+# (the cache consumes no RNG draws).  The bench itself verifies every leg's
+# client-observed histories per tenant (atomicity + freshness), computes hit
+# rate / per-pair p99 cuts / bytes-on-wire saved, applies the gate (>=80%
+# hit rate and >=30% median per-pair p99 get improvement at theta>=0.99,
+# >=90% reads) and writes its rows to BENCH_workloads.json.
 #
 #   scripts/bench_workloads.sh                      # writes BENCH_workloads.json
 #   OPS=20000 ZIPF_THETA=0.9 READ_FRACTION=0.8 scripts/bench_workloads.sh
@@ -23,7 +23,7 @@
 #
 # The server's SIGTERM self-verification gates the result on top of the
 # bench's own per-tenant verifiers: the json only survives if every check
-# passed on both the cache-off and cache-on runs.
+# passed on every cache-off and cache-on leg.
 set -euo pipefail
 
 SERVED_BIN=${SERVED_BIN:-build/lds_served}

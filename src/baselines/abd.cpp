@@ -195,7 +195,7 @@ void AbdClient::on_message(NodeId from, const net::MessagePtr& msg) {
 
 // ---- harness -----------------------------------------------------------------
 
-AbdCluster::AbdCluster(Options opt) : opt_(opt) {
+AbdCluster::AbdCluster(Options opt) : opt_(opt), engine_(opt_.seed) {
   LDS_REQUIRE(2 * opt_.f < opt_.n, "AbdCluster: need f < n/2");
   auto latency =
       opt_.exponential_latency
@@ -205,15 +205,7 @@ AbdCluster::AbdCluster(Options opt) : opt_(opt) {
           : std::unique_ptr<net::LatencyModel>(
                 std::make_unique<net::FixedLatency>(opt_.tau1, opt_.tau1,
                                                     opt_.tau1));
-  if (opt_.engine != nullptr) {
-    engine_ = opt_.engine;
-  } else {
-    opt_.lane = 0;
-    owned_engine_ = std::make_unique<net::SimEngine>(opt_.seed);
-    engine_ = owned_engine_.get();
-  }
-  sim_ = &engine_->lane_sim(opt_.lane);
-  net_ = std::make_unique<net::Network>(*engine_, opt_.lane, std::move(latency),
+  net_ = std::make_unique<net::Network>(engine_, 0, std::move(latency),
                                         opt_.seed);
 
   ctx_ = std::make_shared<AbdContext>();
@@ -244,7 +236,7 @@ Tag AbdCluster::write_sync(std::size_t writer_idx, ObjectId obj, Value value) {
     done = true;
     tag = t;
   });
-  while (!done && sim_->step()) {
+  while (!done && engine_.sim().step()) {
   }
   LDS_REQUIRE(done, "AbdCluster::write_sync: drained before completion");
   return tag;
@@ -260,7 +252,7 @@ std::pair<Tag, Value> AbdCluster::read_sync(std::size_t reader_idx,
     tag = t;
     value = std::move(v);
   });
-  while (!done && sim_->step()) {
+  while (!done && engine_.sim().step()) {
   }
   LDS_REQUIRE(done, "AbdCluster::read_sync: drained before completion");
   return {tag, std::move(value)};

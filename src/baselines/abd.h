@@ -159,17 +159,11 @@ class AbdCluster {
     double tau1 = 1.0;
     std::uint64_t seed = 1;
     bool exponential_latency = false;
-    /// Execution engine + lane (see net/engine.h and
-    /// LdsCluster::Options::engine); null = own a single-lane SimEngine.
-    net::Engine* engine = nullptr;
-    std::size_t lane = 0;
   };
 
   explicit AbdCluster(Options opt);
 
-  net::Engine& engine() { return *engine_; }
-  std::size_t lane() const { return opt_.lane; }
-  net::Simulator& sim() { return *sim_; }
+  net::Simulator& sim() { return engine_.sim(); }
   net::Network& net() { return *net_; }
   History& history() { return history_; }
   const AbdContext& ctx() const { return *ctx_; }
@@ -187,9 +181,7 @@ class AbdCluster {
 
  private:
   Options opt_;
-  std::unique_ptr<net::SimEngine> owned_engine_;
-  net::Engine* engine_ = nullptr;
-  net::Simulator* sim_ = nullptr;
+  net::SimEngine engine_;  ///< the cluster's own deterministic time base
   std::unique_ptr<net::Network> net_;
   std::shared_ptr<AbdContext> ctx_;
   History history_;

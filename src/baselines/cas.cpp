@@ -263,7 +263,7 @@ void CasClient::on_message(NodeId from, const net::MessagePtr& msg) {
 
 // ---- harness --------------------------------------------------------------------
 
-CasCluster::CasCluster(Options opt) : opt_(opt) {
+CasCluster::CasCluster(Options opt) : opt_(opt), engine_(opt_.seed) {
   auto latency =
       opt_.exponential_latency
           ? std::unique_ptr<net::LatencyModel>(
@@ -272,15 +272,7 @@ CasCluster::CasCluster(Options opt) : opt_(opt) {
           : std::unique_ptr<net::LatencyModel>(
                 std::make_unique<net::FixedLatency>(opt_.tau1, opt_.tau1,
                                                     opt_.tau1));
-  if (opt_.engine != nullptr) {
-    engine_ = opt_.engine;
-  } else {
-    opt_.lane = 0;
-    owned_engine_ = std::make_unique<net::SimEngine>(opt_.seed);
-    engine_ = owned_engine_.get();
-  }
-  sim_ = &engine_->lane_sim(opt_.lane);
-  net_ = std::make_unique<net::Network>(*engine_, opt_.lane, std::move(latency),
+  net_ = std::make_unique<net::Network>(engine_, 0, std::move(latency),
                                         opt_.seed);
 
   ctx_ = make_cas_context(opt_.n, opt_.k, opt_.initial_value);
@@ -308,7 +300,7 @@ Tag CasCluster::write_sync(std::size_t writer_idx, ObjectId obj, Value value) {
     done = true;
     tag = t;
   });
-  while (!done && sim_->step()) {
+  while (!done && engine_.sim().step()) {
   }
   LDS_REQUIRE(done, "CasCluster::write_sync: drained before completion");
   return tag;
@@ -324,7 +316,7 @@ std::pair<Tag, Value> CasCluster::read_sync(std::size_t reader_idx,
     tag = t;
     value = std::move(v);
   });
-  while (!done && sim_->step()) {
+  while (!done && engine_.sim().step()) {
   }
   LDS_REQUIRE(done, "CasCluster::read_sync: drained before completion");
   return {tag, std::move(value)};

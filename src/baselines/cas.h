@@ -198,17 +198,11 @@ class CasCluster {
     double tau1 = 1.0;
     std::uint64_t seed = 1;
     bool exponential_latency = false;
-    /// Execution engine + lane (see net/engine.h and
-    /// LdsCluster::Options::engine); null = own a single-lane SimEngine.
-    net::Engine* engine = nullptr;
-    std::size_t lane = 0;
   };
 
   explicit CasCluster(Options opt);
 
-  net::Engine& engine() { return *engine_; }
-  std::size_t lane() const { return opt_.lane; }
-  net::Simulator& sim() { return *sim_; }
+  net::Simulator& sim() { return engine_.sim(); }
   net::Network& net() { return *net_; }
   History& history() { return history_; }
   const CasContext& ctx() const { return *ctx_; }
@@ -225,9 +219,7 @@ class CasCluster {
 
  private:
   Options opt_;
-  std::unique_ptr<net::SimEngine> owned_engine_;
-  net::Engine* engine_ = nullptr;
-  net::Simulator* sim_ = nullptr;
+  net::SimEngine engine_;  ///< the cluster's own deterministic time base
   std::unique_ptr<net::Network> net_;
   std::shared_ptr<CasContext> ctx_;
   History history_;

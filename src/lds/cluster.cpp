@@ -108,14 +108,6 @@ LdsCluster::LdsCluster(Options opt) : opt_(std::move(opt)) {
         *net_, ctx_, kReaderIdBase + static_cast<NodeId>(r), &history_,
         opt_.read_consistency));
   }
-  // Regular-consistency pool (Section VI extension): ids follow the atomic
-  // readers' block so both pools stay within the reader id range.
-  for (std::size_t r = 0; r < opt_.regular_readers; ++r) {
-    regular_readers_.push_back(std::make_unique<Reader>(
-        *net_, ctx_,
-        kReaderIdBase + static_cast<NodeId>(opt_.readers + r), &history_,
-        ReadConsistency::Regular));
-  }
 
   if (durable) recover_from_storage();
 }

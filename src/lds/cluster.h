@@ -42,11 +42,6 @@ class LdsCluster {
     /// Consistency level of this cluster's readers (Atomic = the paper's
     /// LDS; Regular = the Section-VI extension without put-tag).
     ReadConsistency read_consistency = ReadConsistency::Atomic;
-    /// Additional dedicated Regular-consistency readers (the store's
-    /// ReadMode::Regular pool); 0 = none.  Their ids follow the atomic
-    /// readers' block.  Histories mixing regular reads must be verified
-    /// with History::check_regularity.
-    std::size_t regular_readers = 0;
     /// Execution engine + lane this cluster schedules onto (see
     /// net/engine.h).  When null, the cluster owns a single-lane SimEngine.
     /// Under a ParallelEngine the whole cluster is confined to `lane`.
@@ -90,7 +85,6 @@ class LdsCluster {
 
   Writer& writer(std::size_t i) { return *writers_.at(i); }
   Reader& reader(std::size_t i) { return *readers_.at(i); }
-  Reader& regular_reader(std::size_t i) { return *regular_readers_.at(i); }
   ServerL1& l1(std::size_t j);
   ServerL2& l2(std::size_t i);
   std::size_t num_writers() const { return writers_.size(); }
@@ -143,8 +137,9 @@ class LdsCluster {
   /// Invoke a read now and run the simulation until it completes.
   std::pair<Tag, Value> read_sync(std::size_t reader_idx, ObjectId obj);
 
-  /// Run until no events remain; returns events executed.  With an external
-  /// simulator this drains the *shared* queue, i.e. every attached cluster.
+  /// Run until no events remain; returns events executed.  On an engine
+  /// shared with other clusters this drains the *shared* queue, i.e. every
+  /// cluster on the lane.
   std::size_t settle(std::size_t max_events = SIZE_MAX) {
     return sim_->run(max_events);
   }
@@ -174,7 +169,6 @@ class LdsCluster {
   std::vector<std::unique_ptr<ServerL2>> l2_;
   std::vector<std::unique_ptr<Writer>> writers_;
   std::vector<std::unique_ptr<Reader>> readers_;
-  std::vector<std::unique_ptr<Reader>> regular_readers_;
   std::vector<std::pair<ObjectId, Tag>> recovered_objects_;
 };
 

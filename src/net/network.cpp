@@ -16,9 +16,9 @@ void Node::send(NodeId to, MessagePtr msg) {
   net_.send(id_, role_, to, std::move(msg));
 }
 
-Network::Network(Simulator& sim, std::unique_ptr<LatencyModel> latency,
-                 std::uint64_t seed)
-    : sim_(sim),
+Network::Network(Engine& engine, std::size_t lane,
+                 std::unique_ptr<LatencyModel> latency, std::uint64_t seed)
+    : sim_(engine.lane_sim(lane)),
       latency_(std::move(latency)),
       transport_(std::make_unique<InProcTransport>(*this)),
       rng_(seed) {
@@ -31,10 +31,6 @@ void Network::set_transport(std::unique_ptr<Transport> t) {
   LDS_REQUIRE(t != nullptr, "Network::set_transport: null transport");
   transport_ = std::move(t);
 }
-
-Network::Network(Engine& engine, std::size_t lane,
-                 std::unique_ptr<LatencyModel> latency, std::uint64_t seed)
-    : Network(engine.lane_sim(lane), std::move(latency), seed) {}
 
 void Network::attach(Node* node) {
   LDS_REQUIRE(node != nullptr, "Network::attach: null node");

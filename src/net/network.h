@@ -77,10 +77,6 @@ class Network {
   /// a ParallelEngine never contend.
   Network(Engine& engine, std::size_t lane, std::unique_ptr<LatencyModel> latency,
           std::uint64_t seed = 1);
-  /// Bare-simulator convenience (the SimEngine case with the engine left
-  /// implicit); the simulator must outlive the network.
-  Network(Simulator& sim, std::unique_ptr<LatencyModel> latency,
-          std::uint64_t seed = 1);
   ~Network();  // out-of-line: Transport is only forward-declared here
 
   Simulator& sim() { return sim_; }

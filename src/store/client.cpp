@@ -109,7 +109,8 @@ struct Client::Op {
   std::string key;
   Value value;                      ///< puts
   std::optional<Version> expected;  ///< conditional puts
-  OpOptions opts;                   ///< gets: read_mode rides the request
+  OpOptions opts;
+  ReadMode mode = ReadMode::Atomic;  ///< gets: rides the request
   std::function<void(const R&)> cb;
   std::size_t attempt = 1;
   double backoff = 0;
@@ -179,7 +180,7 @@ void Client::send(const std::shared_ptr<Op<R>>& op,
                   std::function<void(const R&)> done) {
   if (!remote()) {
     if constexpr (kIsGet<R>) {
-      svc_->get(op->key, std::move(done), op->opts.read_mode);
+      svc_->get(op->key, std::move(done), op->mode);
     } else if (op->expected.has_value()) {
       svc_->put_if(op->key, op->value, *op->expected, std::move(done));
     } else {
@@ -199,7 +200,7 @@ void Client::send(const std::shared_ptr<Op<R>>& op,
   }
   RemoteBody req;
   if constexpr (kIsGet<R>) {
-    req = RemoteGet{op->key, op->opts.read_mode};
+    req = RemoteGet{op->key, op->mode};
   } else if (op->expected.has_value()) {
     req = RemotePutIf{op->key, op->value, *op->expected};
   } else {
@@ -267,17 +268,19 @@ void Client::submit_get(const std::string& key, GetCallback cb,
     if (cb) cb(GetResult::failure(std::move(s)));
     return;
   }
-  if (cache_applies(opts.read_mode)) {
+  if (cache_ != nullptr) {
     cached_get(key, std::move(cb), opts);
     return;
   }
   raw_get(key, std::move(cb), opts);
 }
 
-void Client::raw_get(const std::string& key, GetCallback cb, OpOptions opts) {
+void Client::raw_get(const std::string& key, GetCallback cb, OpOptions opts,
+                     ReadMode mode) {
   auto op = std::make_shared<Op<GetResult>>();
   op->key = key;
   op->opts = opts;
+  op->mode = mode;
   op->cb = std::move(cb);
   start(std::move(op));
 }
@@ -509,8 +512,6 @@ void Client::cached_get(const std::string& key, GetCallback cb,
   // returned committed tag is >= any operation that completed before the
   // round started, so tag == cached version certifies currency.
   client_metrics_.counter("cache_validation_rounds").inc();
-  OpOptions vopts = opts;
-  vopts.read_mode = ReadMode::TagOnly;
   raw_get(
       key,
       [this, key, opts, cb = std::move(cb),
@@ -533,21 +534,12 @@ void Client::cached_get(const std::string& key, GetCallback cb,
           fill_get(key, std::move(cb), opts);
           return;
         }
-        if (r.status.is(StatusCode::kInvalidArgument)) {
-          // The shard cannot serve tag-only rounds (non-LDS protocol):
-          // stop consulting the cache for good and serve the plain read.
-          if (cache_usable_.exchange(false, std::memory_order_acq_rel)) {
-            client_metrics_.counter("cache_disabled").inc();
-          }
-          raw_get(key, std::move(cb), opts);
-          return;
-        }
         if (r.status.is(StatusCode::kNotFound) && cache_->invalidate(key)) {
           client_metrics_.counter("cache_invalidations").inc();
         }
         if (cb) cb(r);  // NotFound / DeadlineExceeded / ... propagate
       },
-      vopts);
+      opts, ReadMode::TagOnly);
 }
 
 void Client::fill_get(const std::string& key, GetCallback cb, OpOptions opts) {

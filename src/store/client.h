@@ -13,16 +13,16 @@
 //   * OpOptions::retry — bounded retries with exponential backoff for
 //     transient AdmissionReject failures, scheduled in engine time so a
 //     deterministic run replays bit-identically.
-//   * OpOptions::read_mode — Atomic (default) or Regular consistency
-//     (Section VI extension; LDS shards with a provisioned regular pool).
 //   * Typed versions — puts return the Version they committed; gets return
 //     the Version they observed; put_if_version commits only against an
 //     expected Version (Aborted on mismatch).
 //   * Status-returning sync wrappers — Result<Version> / Result<
 //     VersionedValue> in the RocksDB Status idiom (common/status.h).
-//   * Read cache (opt-in, CacheOptions) — atomic-mode gets consult an LRU
-//     of (key -> Version, zero-copy Value).  A hit costs one TAG-ONLY
-//     validation round (ReadMode::TagOnly: the LDS committed-tag quorum
+//   * Atomic reads — every get is the paper's linearizable LDS read; there
+//     is no per-op read mode.
+//   * Read cache (opt-in, CacheOptions) — gets consult an LRU of (key ->
+//     Version, zero-copy Value).  A hit costs one TAG-ONLY validation round
+//     (ReadMode::TagOnly, internal to the cache: the LDS committed-tag quorum
 //     phase, no value bytes on the wire); version match serves the cached
 //     Value, mismatch falls through to a full get and refreshes the entry.
 //     The client's own puts update the entry (or invalidate it when the put
@@ -49,7 +49,7 @@
 // The differences are inherent to leaving the address space:
 // OpOptions::deadline and RetryPolicy backoffs are wall-clock SECONDS
 // (engine time does not exist on this side of the socket), and nothing is
-// deterministic.  ReadMode still applies (the mode rides the request).
+// deterministic.
 // The blocking forms — put/get/put_if_version/multi_* with callbacks and
 // every *_sync wrapper — submit the async op and wait on a cell, so their
 // callbacks are invoked inline after the op completes; multi_get/multi_put
@@ -101,14 +101,13 @@ struct RetryPolicy {
   }
 };
 
-/// Per-operation options.  Defaults mean: no deadline, no retry, atomic
-/// reads — i.e. exactly the raw StoreService behavior.
+/// Per-operation options.  Defaults mean: no deadline, no retry — i.e.
+/// exactly the raw StoreService behavior.
 struct OpOptions {
   /// Engine-clock budget for the whole operation, retries included;
   /// 0 = unbounded.  Expiry completes the op with DeadlineExceeded.
   double deadline = 0;
   RetryPolicy retry;
-  ReadMode read_mode = ReadMode::Atomic;
 };
 
 /// A get's payload with the version that produced it.
@@ -309,7 +308,7 @@ class Client {
   // ---- read cache -----------------------------------------------------------
   /// Client-side counters: cache_hits, cache_ttl_hits, cache_misses,
   /// cache_validation_rounds, cache_stale_validations, cache_invalidations,
-  /// cache_disabled, wire_value_bytes_saved.  Empty registry when the cache
+  /// wire_value_bytes_saved.  Empty registry when the cache
   /// was never enabled.
   const MetricsRegistry& metrics() const { return client_metrics_; }
   bool cache_enabled() const { return cache_ != nullptr; }
@@ -372,13 +371,10 @@ class Client {
                                         const std::string& key);
 
   // ---- read-cache internals (all no-ops when cache_ is null) ----------------
-  /// Whether this (already prechecked) get should consult the cache.
-  bool cache_applies(ReadMode mode) const {
-    return cache_ != nullptr && mode == ReadMode::Atomic &&
-           cache_usable_.load(std::memory_order_acquire);
-  }
   /// The uncached get: one driven op.  No prechecks (callers did them).
-  void raw_get(const std::string& key, GetCallback cb, OpOptions opts);
+  /// ReadMode::TagOnly is the cache's validation round.
+  void raw_get(const std::string& key, GetCallback cb, OpOptions opts,
+               ReadMode mode = ReadMode::Atomic);
   /// Cache-consulting async get: TTL hit / validation round / fill.
   void cached_get(const std::string& key, GetCallback cb, OpOptions opts);
   /// Full get that refreshes the cache entry on success.
@@ -398,9 +394,6 @@ class Client {
   std::atomic<std::uint64_t> next_handle_{1};
   std::atomic<bool> closed_{false};
   std::unique_ptr<ReadCache> cache_;  ///< null = cache disabled
-  /// Cleared permanently when the service answers a tag-only round with
-  /// InvalidArgument (non-LDS shards): every later get takes the raw path.
-  std::atomic<bool> cache_usable_{true};
   MetricsRegistry client_metrics_;
 };
 

@@ -125,7 +125,9 @@ class StoreCodec final : public FamilyCodec {
         RemoteGet b;
         std::uint8_t mode = 0;
         if (!r.u8(&mode)) return truncated("RemoteGet.mode");
-        if (mode > static_cast<std::uint8_t>(ReadMode::TagOnly)) {
+        // Removed modes leave their id unused: 1 (regular reads) is retired.
+        if (mode != static_cast<std::uint8_t>(ReadMode::Atomic) &&
+            mode != static_cast<std::uint8_t>(ReadMode::TagOnly)) {
           return Status::InvalidArgument("unknown read mode " +
                                          std::to_string(mode));
         }

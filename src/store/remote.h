@@ -5,8 +5,9 @@
 //
 //   RemotePut      { key, value }               -> RemoteReply
 //   RemoteGet      { key, read mode }           -> RemoteReply (value; mode
-//                    TagOnly = cache validation round: the reply carries the
-//                    committed tag and a ZERO-length value payload)
+//                    0 = atomic read, 2 = TagOnly cache validation round: the
+//                    reply carries the committed tag and a ZERO-length value
+//                    payload; mode 1 is retired and rejected)
 //   RemotePutIf    { key, value, expected }     -> RemoteReply
 //   RemoteReply    { status code+message, version, optional value }
 //   RemoteReconfig { op, l2 indices, endpoint } -> RemoteReply (tag.z=epoch)

@@ -18,15 +18,6 @@
 
 namespace lds::store {
 
-const char* protocol_name(ShardProtocol p) {
-  switch (p) {
-    case ShardProtocol::Lds: return "lds";
-    case ShardProtocol::Abd: return "abd";
-    case ShardProtocol::Cas: return "cas";
-  }
-  return "?";
-}
-
 storage::Manifest StoreService::storage_manifest(const StoreOptions& opt) {
   // Routing is a pure function of (shards, vnodes): a restart with a
   // different split would silently look for keys on the wrong shard, so
@@ -51,6 +42,7 @@ StoreService::StoreService(StoreOptions opt)
   LDS_REQUIRE(opt_.batch_window >= 0, "StoreService: negative batch window");
   LDS_REQUIRE(opt_.max_batch >= 1, "StoreService: max_batch must be >= 1");
 
+  const ShardBackend& spec = opt_.backend;
   const bool durable = !opt_.data_dir.empty();
   if (durable) {
     auto st = storage_manifest(opt_).verify_or_write(opt_.data_dir);
@@ -72,10 +64,6 @@ StoreService::StoreService(StoreOptions opt)
     // own successor view (persisted epoch + 1) before constructing the
     // service, in which case the fabric's epoch is already non-zero.
     if (fabric->epoch() == 0) {
-      const ShardBackend& spec =
-          opt_.shard_overrides.empty() ? opt_.backend : opt_.shard_overrides[0];
-      LDS_REQUIRE(spec.protocol == ShardProtocol::Lds,
-                  "StoreService: membership fabric requires an LDS shard");
       member::View v;
       v.epoch = 1;
       v.n1 = static_cast<std::uint32_t>(spec.n1);
@@ -103,118 +91,67 @@ StoreService::StoreService(StoreOptions opt)
   }
   router_.assign_lanes(engine_->lanes());
 
-  bool any_lds = false;
   for (std::size_t s = 0; s < opt_.shards; ++s) {
     auto sh = std::make_unique<Shard>();
-    sh->spec = s < opt_.shard_overrides.size() ? opt_.shard_overrides[s]
-                                               : opt_.backend;
     sh->lane = router_.lane_of(s);
     sh->sim = &engine_->lane_sim(sh->lane);
-    LDS_REQUIRE(!durable || sh->spec.protocol == ShardProtocol::Lds,
-                "StoreService: data_dir requires every shard to be LDS");
-    LDS_REQUIRE(fabric == nullptr || sh->spec.protocol == ShardProtocol::Lds,
-                "StoreService: membership fabric requires an LDS shard");
-    const std::uint64_t shard_seed = mix_seed(opt_.seed, s + 1);
-    switch (sh->spec.protocol) {
-      case ShardProtocol::Lds: {
-        any_lds = true;
-        core::LdsCluster::Options copt;
-        copt.cfg.n1 = sh->spec.n1;
-        copt.cfg.f1 = sh->spec.f1;
-        copt.cfg.n2 = sh->spec.n2;
-        copt.cfg.f2 = sh->spec.f2;
-        copt.cfg.backend = sh->spec.code;
-        copt.writers = opt_.writers_per_shard;
-        copt.readers = opt_.readers_per_shard;
-        copt.regular_readers = opt_.regular_readers_per_shard;
-        copt.latency = opt_.exponential_latency
-                           ? core::LdsCluster::LatencyKind::Exponential
-                           : core::LdsCluster::LatencyKind::Fixed;
-        copt.tau1 = opt_.tau1;
-        copt.tau0 = opt_.tau0;
-        copt.tau2 = opt_.tau2;
-        copt.seed = shard_seed;
-        copt.engine = engine_.get();
-        copt.lane = sh->lane;
-        if (durable) {
-          copt.data_dir = opt_.data_dir + "/shard-" + std::to_string(s);
-          copt.durability = opt_.durability;
-        }
-        if (fabric != nullptr) {
-          copt.transport_factory = [fabric](net::Network& n) {
-            return std::unique_ptr<net::Transport>(
-                std::make_unique<member::RemoteTransport>(*fabric, n));
-          };
-          const member::View v = fabric->view();
-          for (std::size_t j = 0; j < sh->spec.n1; ++j) {
-            const NodeId id = core::kL1IdBase + static_cast<NodeId>(j);
-            if (v.process_of(id) != fabric->self()) copt.remote_l1.insert(j);
-          }
-          for (std::size_t i = 0; i < sh->spec.n2; ++i) {
-            const NodeId id = core::kL2IdBase + static_cast<NodeId>(i);
-            if (v.process_of(id) != fabric->self()) copt.remote_l2.insert(i);
-          }
-        }
-        sh->lds = std::make_unique<core::LdsCluster>(copt);
-        if (durable) {
-          auto kl = storage::KeyLog::open(copt.data_dir + "/keys",
-                                          opt_.durability);
-          LDS_REQUIRE(kl.ok(), ("StoreService: open keylog for shard " +
-                                std::to_string(s) + ": " +
-                                kl.status().message())
-                                   .c_str());
-          sh->keylog = std::move(kl).value();
-          // Replay reproduces the exact intern order of every previous
-          // incarnation: the i-th surviving record IS ObjectId i.
-          for (const std::string& key : sh->keylog->recovered()) {
-            sh->objects.emplace(key, static_cast<ObjectId>(sh->objects.size()));
-          }
-        }
-        sh->l1_down.assign(sh->spec.n1, false);
-        sh->l2_down.assign(sh->spec.n2, false);
-        break;
+    core::LdsCluster::Options copt;
+    copt.cfg.n1 = spec.n1;
+    copt.cfg.f1 = spec.f1;
+    copt.cfg.n2 = spec.n2;
+    copt.cfg.f2 = spec.f2;
+    copt.cfg.backend = spec.code;
+    copt.writers = opt_.writers_per_shard;
+    copt.readers = opt_.readers_per_shard;
+    copt.latency = opt_.exponential_latency
+                       ? core::LdsCluster::LatencyKind::Exponential
+                       : core::LdsCluster::LatencyKind::Fixed;
+    copt.tau1 = opt_.tau1;
+    copt.tau0 = opt_.tau0;
+    copt.tau2 = opt_.tau2;
+    copt.seed = mix_seed(opt_.seed, s + 1);
+    copt.engine = engine_.get();
+    copt.lane = sh->lane;
+    if (durable) {
+      copt.data_dir = opt_.data_dir + "/shard-" + std::to_string(s);
+      copt.durability = opt_.durability;
+    }
+    if (fabric != nullptr) {
+      copt.transport_factory = [fabric](net::Network& n) {
+        return std::unique_ptr<net::Transport>(
+            std::make_unique<member::RemoteTransport>(*fabric, n));
+      };
+      const member::View v = fabric->view();
+      for (std::size_t j = 0; j < spec.n1; ++j) {
+        const NodeId id = core::kL1IdBase + static_cast<NodeId>(j);
+        if (v.process_of(id) != fabric->self()) copt.remote_l1.insert(j);
       }
-      case ShardProtocol::Abd: {
-        baselines::AbdCluster::Options copt;
-        copt.n = sh->spec.n;
-        copt.f = sh->spec.f;
-        copt.writers = opt_.writers_per_shard;
-        copt.readers = opt_.readers_per_shard;
-        copt.tau1 = opt_.tau1;
-        copt.seed = shard_seed;
-        copt.exponential_latency = opt_.exponential_latency;
-        copt.engine = engine_.get();
-        copt.lane = sh->lane;
-        sh->abd = std::make_unique<baselines::AbdCluster>(copt);
-        sh->srv_down.assign(sh->spec.n, false);
-        break;
-      }
-      case ShardProtocol::Cas: {
-        baselines::CasCluster::Options copt;
-        copt.n = sh->spec.n;
-        copt.k = sh->spec.n - 2 * sh->spec.f;
-        copt.writers = opt_.writers_per_shard;
-        copt.readers = opt_.readers_per_shard;
-        copt.tau1 = opt_.tau1;
-        copt.seed = shard_seed;
-        copt.exponential_latency = opt_.exponential_latency;
-        copt.engine = engine_.get();
-        copt.lane = sh->lane;
-        sh->cas = std::make_unique<baselines::CasCluster>(copt);
-        sh->srv_down.assign(sh->spec.n, false);
-        break;
+      for (std::size_t i = 0; i < spec.n2; ++i) {
+        const NodeId id = core::kL2IdBase + static_cast<NodeId>(i);
+        if (v.process_of(id) != fabric->self()) copt.remote_l2.insert(i);
       }
     }
+    sh->lds = std::make_unique<core::LdsCluster>(copt);
+    if (durable) {
+      auto kl =
+          storage::KeyLog::open(copt.data_dir + "/keys", opt_.durability);
+      LDS_REQUIRE(kl.ok(), ("StoreService: open keylog for shard " +
+                            std::to_string(s) + ": " + kl.status().message())
+                               .c_str());
+      sh->keylog = std::move(kl).value();
+      // Replay reproduces the exact intern order of every previous
+      // incarnation: the i-th surviving record IS ObjectId i.
+      for (const std::string& key : sh->keylog->recovered()) {
+        sh->objects.emplace(key, static_cast<ObjectId>(sh->objects.size()));
+      }
+    }
+    sh->l1_down.assign(spec.n1, false);
+    sh->l2_down.assign(spec.n2, false);
     for (std::size_t w = 0; w < opt_.writers_per_shard; ++w) {
       sh->free_writers.push_back(w);
     }
     for (std::size_t r = 0; r < opt_.readers_per_shard; ++r) {
       sh->free_readers.push_back(r);
-    }
-    if (sh->spec.protocol == ShardProtocol::Lds) {
-      for (std::size_t r = 0; r < opt_.regular_readers_per_shard; ++r) {
-        sh->free_regular_readers.push_back(r);
-      }
     }
     shards_.push_back(std::move(sh));
   }
@@ -222,7 +159,7 @@ StoreService::StoreService(StoreOptions opt)
   // Under a membership fabric the reconfiguration state-sync path owns L2
   // regeneration; the heartbeat-driven scheduler would race view surgery
   // (its "crashed" verdict cannot tell a moved server from a dead one).
-  if (opt_.enable_repair && any_lds && fabric == nullptr) {
+  if (opt_.enable_repair && fabric == nullptr) {
     RepairScheduler::Options ropt = opt_.repair;
     // Per-lane budgets keep repair admission engine-local: one lane's
     // backlog never delays another lane's regeneration.
@@ -235,21 +172,19 @@ StoreService::StoreService(StoreOptions opt)
     });
     for (std::size_t s = 0; s < shards_.size(); ++s) {
       Shard* sh = shards_[s].get();
-      if (sh->spec.protocol != ShardProtocol::Lds) continue;
       // f2 = 0 means no crash budget at all: nothing can ever be injected,
       // and a (heavy-tail) false suspicion could never claim a slot, so a
       // manager would only risk deferring forever.  Leave it unmanaged.
-      if (sh->spec.f2 == 0) continue;
+      if (spec.f2 == 0) continue;
       repair_->attach_shard(
           s, *sh->lds,
           /*may_replace=*/
-          [sh](std::size_t i) {
+          [sh, f2 = spec.f2](std::size_t i) {
             // A victim we crashed already holds a budget slot; a false
             // suspicion may only proceed while the budget has room for the
             // healthy server's data to go briefly missing.
             return sh->l2_down[i] ||
-                   sh->l2_down_count.load(std::memory_order_acquire) <
-                       sh->spec.f2;
+                   sh->l2_down_count.load(std::memory_order_acquire) < f2;
           },
           /*on_replaced=*/
           [this, s, sh](std::size_t i) {
@@ -355,17 +290,6 @@ void StoreService::stop_listening() {
   if (remote_ != nullptr) remote_->stop();
 }
 
-const core::History& StoreService::shard_history(std::size_t s) const {
-  const Shard& sh = *shards_.at(s);
-  switch (sh.spec.protocol) {
-    case ShardProtocol::Lds: return sh.lds->history();
-    case ShardProtocol::Abd: return sh.abd->history();
-    case ShardProtocol::Cas: return sh.cas->history();
-  }
-  LDS_REQUIRE(false, "unreachable");
-  return sh.lds->history();
-}
-
 Result<ObjectId> StoreService::intern(Shard& sh, std::size_t shard_idx,
                                       const std::string& key) {
   auto it = sh.objects.find(key);
@@ -382,8 +306,7 @@ Result<ObjectId> StoreService::intern(Shard& sh, std::size_t shard_idx,
   const auto obj = static_cast<ObjectId>(sh.objects.size());
   sh.objects.emplace(key, obj);
   metrics_.counter("objects_created", shard_idx).inc();
-  if (repair_ && sh.spec.protocol == ShardProtocol::Lds &&
-      repair_->has_shard(shard_idx)) {
+  if (repair_ && repair_->has_shard(shard_idx)) {
     repair_->track_object(shard_idx, obj);
   }
   return obj;
@@ -528,7 +451,7 @@ void StoreService::dispatch_put(std::size_t shard_idx, std::size_t writer,
     done_sh.free_writers.push_back(writer);
     pump_puts(shard_idx);
   };
-  cluster_write(sh, writer, p.obj, std::move(value), std::move(done));
+  sh.lds->writer(writer).write(p.obj, std::move(value), std::move(done));
 }
 
 // ---- gets -------------------------------------------------------------------
@@ -536,30 +459,6 @@ void StoreService::dispatch_put(std::size_t shard_idx, std::size_t writer,
 void StoreService::get(const std::string& key, GetCallback cb, ReadMode mode) {
   const std::size_t s = router_.shard_of(key);
   Shard& sh = *shards_[s];
-  // Regular reads need an LDS shard with a provisioned pool; the shard spec
-  // is immutable, so this check is safe from any submitting thread.
-  if (mode == ReadMode::Regular &&
-      (sh.spec.protocol != ShardProtocol::Lds ||
-       opt_.regular_readers_per_shard == 0)) {
-    metrics_.counter("gets_invalid", s).inc();
-    if (cb) {
-      cb(GetResult::failure(Status::InvalidArgument(
-          "regular reads not provisioned on shard " + std::to_string(s))));
-    }
-    return;
-  }
-  // Tag-only validation rounds are an LDS protocol feature (the committed-tag
-  // quorum phase); other shard protocols have no equivalent, so the client
-  // learns to stop trying via InvalidArgument.
-  if (mode == ReadMode::TagOnly && sh.spec.protocol != ShardProtocol::Lds) {
-    metrics_.counter("gets_invalid", s).inc();
-    if (cb) {
-      cb(GetResult::failure(Status::InvalidArgument(
-          "tag-only reads require an LDS shard (shard " + std::to_string(s) +
-          ")")));
-    }
-    return;
-  }
   metrics_.counter(mode == ReadMode::TagOnly ? "gets_tag_only" : "gets", s)
       .inc();
   outstanding_.fetch_add(1, std::memory_order_acq_rel);
@@ -594,8 +493,7 @@ void StoreService::enqueue_get(std::size_t shard_idx, const std::string& key,
   g.cb = std::move(cb);
   g.submitted = sh.sim->now();
   g.mode = mode;
-  (mode == ReadMode::Regular ? sh.regular_get_queue : sh.get_queue)
-      .push_back(std::move(g));
+  sh.get_queue.push_back(std::move(g));
   pump_gets(shard_idx);
 }
 
@@ -607,13 +505,6 @@ void StoreService::pump_gets(std::size_t shard_idx) {
     sh.get_queue.pop_front();
     const std::size_t r = sh.free_readers.back();
     sh.free_readers.pop_back();
-    dispatch_get(shard_idx, r, std::move(g));
-  }
-  while (!sh.regular_get_queue.empty() && !sh.free_regular_readers.empty()) {
-    PendingGet g = std::move(sh.regular_get_queue.front());
-    sh.regular_get_queue.pop_front();
-    const std::size_t r = sh.free_regular_readers.back();
-    sh.free_regular_readers.pop_back();
     dispatch_get(shard_idx, r, std::move(g));
   }
 }
@@ -638,12 +529,15 @@ void StoreService::dispatch_get(std::size_t shard_idx, std::size_t reader,
     }
     if (cb) cb(GetResult::success(tag, std::move(value)));
     if (!internal) engine_->release(done_sh.lane);
-    (mode == ReadMode::Regular ? done_sh.free_regular_readers
-                               : done_sh.free_readers)
-        .push_back(reader);
+    done_sh.free_readers.push_back(reader);
     pump_gets(shard_idx);
   };
-  cluster_read(sh, reader, obj, std::move(done), mode);
+  core::Reader& rd = sh.lds->reader(reader);
+  if (mode == ReadMode::TagOnly) {
+    rd.read_tag(obj, std::move(done));
+  } else {
+    rd.read(obj, std::move(done));
+  }
 }
 
 // ---- conditional puts -------------------------------------------------------
@@ -812,45 +706,6 @@ void StoreService::multi_put(std::vector<KeyValue> entries,
   }
 }
 
-// ---- cluster dispatch -------------------------------------------------------
-
-void StoreService::cluster_write(Shard& sh, std::size_t writer, ObjectId obj,
-                                 Value value, std::function<void(Tag)> done) {
-  switch (sh.spec.protocol) {
-    case ShardProtocol::Lds:
-      sh.lds->writer(writer).write(obj, std::move(value), std::move(done));
-      return;
-    case ShardProtocol::Abd:
-      sh.abd->writer(writer).write(obj, std::move(value), std::move(done));
-      return;
-    case ShardProtocol::Cas:
-      sh.cas->writer(writer).write(obj, std::move(value), std::move(done));
-      return;
-  }
-}
-
-void StoreService::cluster_read(Shard& sh, std::size_t reader, ObjectId obj,
-                                std::function<void(Tag, Value)> done,
-                                ReadMode mode) {
-  switch (sh.spec.protocol) {
-    case ShardProtocol::Lds:
-      if (mode == ReadMode::TagOnly) {
-        sh.lds->reader(reader).read_tag(obj, std::move(done));
-        return;
-      }
-      (mode == ReadMode::Regular ? sh.lds->regular_reader(reader)
-                                 : sh.lds->reader(reader))
-          .read(obj, std::move(done));
-      return;
-    case ShardProtocol::Abd:
-      sh.abd->reader(reader).read(obj, std::move(done));
-      return;
-    case ShardProtocol::Cas:
-      sh.cas->reader(reader).read(obj, std::move(done));
-      return;
-  }
-}
-
 // ---- sync wrappers ----------------------------------------------------------
 
 using detail::run_op_sync;
@@ -915,26 +770,10 @@ std::size_t pick_healthy(const std::vector<bool>& down, Rng& rng) {
 
 bool StoreService::inject_crash_on_lane(std::size_t shard, Rng& rng) {
   Shard& sh = *shards_.at(shard);
-  if (sh.spec.protocol != ShardProtocol::Lds) {
-    if (sh.srv_down_count.load(std::memory_order_acquire) >= sh.spec.f) {
-      return false;
-    }
-    const std::size_t victim = pick_healthy(sh.srv_down, rng);
-    sh.srv_down[victim] = true;
-    sh.srv_down_count.fetch_add(1, std::memory_order_acq_rel);
-    metrics_.counter("crashes", shard).inc();
-    if (sh.spec.protocol == ShardProtocol::Abd) {
-      sh.abd->crash_server(victim);
-    } else {
-      sh.cas->crash_server(victim);
-    }
-    return true;
-  }
-
   const bool can_l1 =
-      sh.l1_down_count.load(std::memory_order_acquire) < sh.spec.f1;
+      sh.l1_down_count.load(std::memory_order_acquire) < opt_.backend.f1;
   const bool can_l2 =
-      sh.l2_down_count.load(std::memory_order_acquire) < sh.spec.f2;
+      sh.l2_down_count.load(std::memory_order_acquire) < opt_.backend.f2;
   if (!can_l1 && !can_l2) return false;
   const bool hit_l2 = can_l2 && (!can_l1 || rng.bernoulli(0.5));
   if (hit_l2) {
@@ -985,10 +824,7 @@ bool StoreService::idle() const {
     if (!repair_->quiet()) return false;
     // Every injected (or falsely suspected) L2 outage must have healed.
     for (const auto& sh : shards_) {
-      if (sh->spec.protocol == ShardProtocol::Lds &&
-          sh->l2_down_count.load(std::memory_order_acquire) > 0) {
-        return false;
-      }
+      if (sh->l2_down_count.load(std::memory_order_acquire) > 0) return false;
     }
   }
   return true;
@@ -1075,13 +911,8 @@ bool StoreService::drain_dispatched(double timeout_s) {
       auto done = std::make_shared<std::promise<bool>>();
       auto fut = done->get_future();
       engine_->post(sh->lane, [this, sh, done] {
-        const std::size_t regular =
-            sh->spec.protocol == ShardProtocol::Lds
-                ? opt_.regular_readers_per_shard
-                : 0;
         done->set_value(sh->free_writers.size() == opt_.writers_per_shard &&
-                        sh->free_readers.size() == opt_.readers_per_shard &&
-                        sh->free_regular_readers.size() == regular);
+                        sh->free_readers.size() == opt_.readers_per_shard);
       });
       if (fut.wait_for(std::chrono::seconds(5)) !=
           std::future_status::ready) {
@@ -1103,7 +934,7 @@ void StoreService::apply_member_view(const member::View&,
   Shard& sh = *shards_[0];
   core::LdsCluster& c = *sh.lds;
   const member::ProcessId self = opt_.fabric->self();
-  for (std::size_t j = 0; j < sh.spec.n1; ++j) {
+  for (std::size_t j = 0; j < opt_.backend.n1; ++j) {
     const NodeId id = core::kL1IdBase + static_cast<NodeId>(j);
     const bool mine = next.process_of(id) == self;
     if (mine && !c.l1_local(j)) {
@@ -1112,7 +943,7 @@ void StoreService::apply_member_view(const member::View&,
       c.release_l1(j);
     }
   }
-  for (std::size_t i = 0; i < sh.spec.n2; ++i) {
+  for (std::size_t i = 0; i < opt_.backend.n2; ++i) {
     const NodeId id = core::kL2IdBase + static_cast<NodeId>(i);
     const bool mine = next.process_of(id) == self;
     if (mine && !c.l2_local(i)) {

@@ -16,10 +16,9 @@
 //        │                      to the last value (absorbed puts complete
 //        │                      with the surviving write's tag), bounded by
 //        │                      an admission limit
-//   shard backends ── each shard owns its own LdsCluster (L2 code via
-//        │            codes::factory) or an ABD / CAS baseline cluster,
-//        │            scheduled onto ONE lane of the service's execution
-//        │            engine (net/engine.h)
+//   LDS shards ── each shard owns its own LdsCluster (L2 code via
+//        │        codes::factory; every read atomic), scheduled onto ONE
+//        │        lane of the service's execution engine (net/engine.h)
 //   RepairScheduler ── background heartbeat detection + regeneration of
 //                      crashed L2 servers under a concurrent-repair budget
 //
@@ -55,8 +54,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "baselines/abd.h"
-#include "baselines/cas.h"
 #include "codes/factory.h"
 #include "common/rng.h"
 #include "common/slice.h"
@@ -78,17 +75,11 @@ namespace lds::store {
 
 class RemoteServer;  // store/remote.h: serves remote store::Clients over TCP
 
-enum class ShardProtocol { Lds, Abd, Cas };
-
-const char* protocol_name(ShardProtocol p);
-
-/// Per-shard backend choice: protocol, L2 erasure code (LDS only, built via
-/// codes::factory inside LdsConfig), and geometry.
+/// Every shard's LDS deployment: the L2 erasure code (built via
+/// codes::factory inside LdsConfig) and the two layers' geometry.
 struct ShardBackend {
-  ShardProtocol protocol = ShardProtocol::Lds;
   codes::BackendKind code = codes::BackendKind::PmMbr;
-  std::size_t n1 = 6, f1 = 1, n2 = 8, f2 = 2;  ///< LDS geometry
-  std::size_t n = 9, f = 2;                    ///< ABD / CAS geometry
+  std::size_t n1 = 6, f1 = 1, n2 = 8, f2 = 2;
 };
 
 struct StoreOptions {
@@ -97,9 +88,8 @@ struct StoreOptions {
   /// readers bound concurrent gets.
   std::size_t writers_per_shard = 4;
   std::size_t readers_per_shard = 4;
-  /// Backend for every shard, unless overridden per shard index.
+  /// Code and geometry of every shard.
   ShardBackend backend;
-  std::vector<ShardBackend> shard_overrides;
   /// Put coalescing window in simulated time; 0 dispatches immediately.
   double batch_window = 0.5;
   /// Flush an open window early once this many puts are queued.
@@ -116,10 +106,7 @@ struct StoreOptions {
   net::EngineMode engine_mode = net::EngineMode::Deterministic;
   /// Parallel lanes; 0 = min(shards, hardware threads).
   std::size_t engine_threads = 0;
-  /// Regular-consistency readers per LDS shard (ReadMode::Regular pool);
-  /// 0 = regular reads are not provisioned and return InvalidArgument.
-  std::size_t regular_readers_per_shard = 0;
-  /// Background repair (LDS shards): heartbeat detection + regeneration.
+  /// Background repair: heartbeat detection + regeneration.
   /// In Parallel mode the scheduler's budget is scoped per lane.
   bool enable_repair = true;
   RepairScheduler::Options repair;
@@ -129,7 +116,7 @@ struct StoreOptions {
   /// intern table is persisted in an always-synced KeyLog (record ordinal =
   /// ObjectId), so keys keep their objects across restarts.  A top-level
   /// MANIFEST pins shards/vnodes (routing stability); a mismatched restart
-  /// aborts rather than scatter keys.  Requires every shard to be LDS.
+  /// aborts rather than scatter keys.
   std::string data_dir;
   storage::DurabilityPolicy durability;
   /// Multi-process membership (member subsystem): a LISTENING Fabric whose
@@ -137,24 +124,21 @@ struct StoreOptions {
   /// service installs the fabric's RemoteTransport on its shard cluster,
   /// applies view changes (placement surgery on the shard lane) and owns a
   /// member::Coordinator driving joins and moves.  Requires Parallel mode,
-  /// exactly one LDS shard, no data_dir (remote placement is RAM-only for
+  /// exactly one shard, no data_dir (remote placement is RAM-only for
   /// now); the repair scheduler is disabled (reconfiguration state-sync
   /// replaces it).  The fabric must outlive the service; the service's
   /// destructor stops it.
   member::Fabric* fabric = nullptr;
 };
 
-/// Per-read consistency choice.  Atomic is the paper's LDS (linearizable);
-/// Regular skips the put-tag write-back (Section VI extension, LDS shards
-/// only) — one round trip fewer, but reads are no longer mutually monotone,
-/// so histories containing regular reads must be verified with
-/// History::check_regularity, not check_atomicity.  TagOnly (LDS shards
-/// only) runs just the get-committed-tag quorum phase and returns the
-/// committed tag with an EMPTY value: the client read cache's validation
-/// round.  The returned tag is >= the tag of any operation that completed
-/// before the round started, so "cached version == returned tag" certifies
-/// the cached value is still current.
-enum class ReadMode : std::uint8_t { Atomic, Regular, TagOnly };
+/// What a get runs.  Atomic is the paper's LDS read (linearizable) and the
+/// only mode a user get takes.  TagOnly runs just the get-committed-tag
+/// quorum phase and returns the committed tag with an EMPTY value: the
+/// client read cache's validation round.  The returned tag is >= the tag of
+/// any operation that completed before the round started, so "cached
+/// version == returned tag" certifies the cached value is still current.
+/// The values are wire ids (store/remote.h); id 1 is retired and unused.
+enum class ReadMode : std::uint8_t { Atomic = 0, TagOnly = 2 };
 
 /// Outcome of a put.  `status` is the outcome (see common/status.h for the
 /// taxonomy); `tag` is the raw token behind the typed `version`.
@@ -239,10 +223,8 @@ class StoreService {
   void put(const std::string& key, Value value, PutCallback cb = {});
   /// Read a key.  Keys never written on their shard complete immediately
   /// with NotFound (and are NOT interned, so probing reads cannot grow
-  /// per-shard state).  ReadMode::Regular requires an LDS shard and
-  /// regular_readers_per_shard > 0, else InvalidArgument.
-  /// ReadMode::TagOnly requires an LDS shard; it completes with the
-  /// committed tag and an empty Value (the cache validation round).
+  /// per-shard state).  ReadMode::TagOnly completes with the committed tag
+  /// and an empty Value (the cache validation round).
   void get(const std::string& key, GetCallback cb = {},
            ReadMode mode = ReadMode::Atomic);
   /// Conditional put: commits iff the key's current version equals
@@ -314,17 +296,15 @@ class StoreService {
   RepairScheduler* repair() { return repair_.get(); }
   const StoreOptions& options() const { return opt_; }
   std::size_t num_shards() const { return shards_.size(); }
-  ShardProtocol shard_protocol(std::size_t s) const {
-    return shards_.at(s)->spec.protocol;
-  }
-  /// The shard's LDS cluster (nullptr for ABD/CAS shards).  Quiescent-lane
-  /// introspection only (storage meters, cost accounting, direct crash
-  /// injection in tests).
+  /// The shard's LDS cluster.  Quiescent-lane introspection only (storage
+  /// meters, cost accounting, direct crash injection in tests).
   core::LdsCluster* shard_lds(std::size_t s) { return shards_.at(s)->lds.get(); }
   /// The shard's recorded operation history (for the linearizability
   /// checkers); absorbed puts never reach it by design.  Stable only while
   /// the shard's lane is quiescent (e.g. after quiesce()).
-  const core::History& shard_history(std::size_t s) const;
+  const core::History& shard_history(std::size_t s) const {
+    return shards_.at(s)->lds->history();
+  }
   /// Keys currently interned on one shard (quiescent lanes only).
   std::size_t shard_objects(std::size_t s) const {
     return shards_.at(s)->objects.size();
@@ -334,8 +314,8 @@ class StoreService {
     return outstanding_.load(std::memory_order_acquire);
   }
 
-  /// Inject one server crash on `shard` within its failure budget (L1/L2
-  /// for LDS, servers for ABD/CAS).  Crashed LDS L2 servers are detected
+  /// Inject one L1 or L2 server crash on `shard` within its failure budget
+  /// (f1, f2).  Crashed L2 servers are detected
   /// and rebuilt by the repair scheduler when enabled, returning their
   /// budget slot.  Returns false when the budget is exhausted.  In Parallel
   /// mode this blocks on the shard's lane; never call it from a callback
@@ -396,12 +376,9 @@ class StoreService {
   };
 
   struct Shard {
-    ShardBackend spec;
     std::size_t lane = 0;               ///< engine lane this shard runs on
     net::Simulator* sim = nullptr;      ///< == engine->lane_sim(lane)
     std::unique_ptr<core::LdsCluster> lds;
-    std::unique_ptr<baselines::AbdCluster> abd;
-    std::unique_ptr<baselines::CasCluster> cas;
     /// Durable mode: persisted key→ObjectId bindings (null in RAM mode).
     std::unique_ptr<storage::KeyLog> keylog;
     std::unordered_map<std::string, ObjectId> objects;
@@ -420,20 +397,15 @@ class StoreService {
     std::uint64_t window_epoch = 0;
     std::deque<PendingPut> put_queue;  ///< flushed, awaiting a writer
     std::deque<PendingGet> get_queue;
-    /// ReadMode::Regular runs on its own reader pool + queue so a burst of
-    /// regular reads never starves atomic ones (and vice versa).
-    std::deque<PendingGet> regular_get_queue;
     std::vector<std::size_t> free_writers;
     std::vector<std::size_t> free_readers;
-    std::vector<std::size_t> free_regular_readers;
     /// Admission accounting; atomic because admission happens on the
     /// submitting thread while completion happens on the lane.
     std::atomic<std::size_t> puts_in_flight{0};
     // Failure budgets: vectors are lane-local, counts are atomic so the
     // idle() poll can read them cross-thread.
-    std::vector<bool> l1_down, l2_down, srv_down;
-    std::atomic<std::size_t> l1_down_count{0}, l2_down_count{0},
-        srv_down_count{0};
+    std::vector<bool> l1_down, l2_down;
+    std::atomic<std::size_t> l1_down_count{0}, l2_down_count{0};
   };
 
   /// Bind `key` to a shard-local ObjectId, persisting the binding first in
@@ -452,10 +424,6 @@ class StoreService {
   void pump_gets(std::size_t shard_idx);
   void dispatch_put(std::size_t shard_idx, std::size_t writer, PendingPut p);
   void dispatch_get(std::size_t shard_idx, std::size_t reader, PendingGet g);
-  void cluster_write(Shard& sh, std::size_t writer, ObjectId obj, Value value,
-                     std::function<void(Tag)> done);
-  void cluster_read(Shard& sh, std::size_t reader, ObjectId obj,
-                    std::function<void(Tag, Value)> done, ReadMode mode);
   /// Release one admission slot + the outstanding gauge and complete `cb`
   /// with `r` (gauges drop before the callback, as in dispatch_put).
   void finish_put(std::size_t shard_idx, const PutCallback& cb,

@@ -125,7 +125,7 @@ std::vector<MessagePtr> sample_store(Rng& rng, std::size_t n) {
   reply.value = Value(rng.bytes(n));
   return {
       RemoteMessage::make(op, RemotePut{key, Value(rng.bytes(n))}),
-      RemoteMessage::make(op, RemoteGet{key, ReadMode::Regular}),
+      RemoteMessage::make(op, RemoteGet{key, ReadMode::TagOnly}),
       RemoteMessage::make(
           op, RemotePutIf{key, Value(rng.bytes(n)), Version(random_tag(rng))}),
       RemoteMessage::make(op, RemotePutIf{key, Value(rng.bytes(n)),
@@ -273,6 +273,27 @@ TEST(Codec, RejectsCorruptFramesInEveryFamily) {
     std::memcpy(bad.data(), &n, 4);
     expect_rejected(bad, "trailing bytes");
   }
+}
+
+TEST(Codec, RejectsRetiredAndUnknownReadModes) {
+  // RemoteGet's body opens with the mode byte.  Ids 0 (atomic) and 2
+  // (tag-only) are frozen; 1 is retired and, like any id past 2, hostile.
+  using namespace lds::store;
+  register_store_wire();
+  const auto msg = RemoteMessage::make(1, RemoteGet{"k", ReadMode::Atomic});
+  const Bytes wire = encode(*msg).to_bytes();
+  ASSERT_EQ(wire[kFrameOverheadBytes], 0);
+  for (const std::uint8_t mode : {1, 3, 255}) {
+    Bytes bad = wire;
+    bad[kFrameOverheadBytes] = mode;
+    expect_rejected(bad, "hostile read mode");
+  }
+  Bytes tag_only = wire;
+  tag_only[kFrameOverheadBytes] = 2;
+  MessagePtr out;
+  ASSERT_TRUE(decode(tag_only.data(), tag_only.size(), &out).ok());
+  const auto& body = static_cast<const RemoteMessage&>(*out).body();
+  EXPECT_EQ(std::get<RemoteGet>(body).mode, ReadMode::TagOnly);
 }
 
 TEST(Codec, RejectsInteriorLengthOverrun) {

@@ -44,15 +44,6 @@ TEST(SimEngine, PostRunsInlineAndAfterHereSchedules) {
   EXPECT_GE(e.events_executed(), 1u);
 }
 
-TEST(SimEngine, WrapsAnExternalSimulatorUnchanged) {
-  net::Simulator sim;
-  sim.after(1.0, [] {});
-  SimEngine e(sim);
-  EXPECT_EQ(&e.lane_sim(0), &sim);  // the same time base, not a copy
-  e.drain();
-  EXPECT_TRUE(sim.idle());
-}
-
 TEST(SimEngine, DrainUntilStopsAtThePredicate) {
   SimEngine e;
   int fired = 0;

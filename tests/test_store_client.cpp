@@ -413,38 +413,7 @@ TEST(StoreClient, PutMovesHandlesNotPayloadCopies) {
   svc.quiesce();
 }
 
-// ---- read modes -------------------------------------------------------------
-
-TEST(StoreClient, RegularReadModeUsesTheProvisionedPool) {
-  auto opt = small_options(1);
-  opt.regular_readers_per_shard = 2;
-  StoreService svc(opt);
-  Client client(svc);
-  ASSERT_TRUE(client.put_sync("r", Bytes{1}).ok());
-
-  OpOptions opts;
-  opts.read_mode = ReadMode::Regular;
-  const auto get = client.get_sync("r", opts);
-  ASSERT_TRUE(get.ok()) << get.status().to_string();
-  EXPECT_EQ(get.value().value, Bytes{1});
-  svc.quiesce();
-  // Histories mixing regular reads are verified with the regularity checker
-  // (regular reads drop the mutual-monotonicity obligation).
-  const auto verdict = svc.shard_history(0).check_regularity(Bytes{});
-  EXPECT_TRUE(verdict.ok) << verdict.violation;
-}
-
-TEST(StoreClient, RegularReadModeWithoutPoolIsInvalidArgument) {
-  StoreService svc(small_options(1));  // no regular pool provisioned
-  Client client(svc);
-  ASSERT_TRUE(client.put_sync("r", Bytes{1}).ok());
-  OpOptions opts;
-  opts.read_mode = ReadMode::Regular;
-  const auto get = client.get_sync("r", opts);
-  ASSERT_FALSE(get.ok());
-  EXPECT_TRUE(get.status().is(StatusCode::kInvalidArgument))
-      << get.status().to_string();
-}
+// ---- tag-only validation reads ----------------------------------------------
 
 TEST(StoreClient, TagOnlyReadReturnsCommittedTagAndNoValueBytes) {
   StoreService svc(small_options(1));
@@ -452,15 +421,22 @@ TEST(StoreClient, TagOnlyReadReturnsCommittedTagAndNoValueBytes) {
   const auto put = client.put_sync("k", Bytes{1, 2});
   ASSERT_TRUE(put.ok());
 
-  OpOptions opts;
-  opts.read_mode = ReadMode::TagOnly;
-  const auto g = client.get_sync("k", opts);
-  ASSERT_TRUE(g.ok()) << g.status().to_string();
-  EXPECT_EQ(g.value().version.tag(), put.value().tag());
-  EXPECT_TRUE(g.value().value.empty());
+  // The cache's validation round, issued on the service directly.
+  GetResult g;
+  bool done = false;
+  svc.get("k",
+          [&](const GetResult& r) {
+            g = r;
+            done = true;
+          },
+          ReadMode::TagOnly);
+  svc.quiesce();
+  ASSERT_TRUE(done);
+  ASSERT_TRUE(g.status.ok()) << g.status.to_string();
+  EXPECT_EQ(g.tag, put.value().tag());
+  EXPECT_TRUE(g.value.empty());
   EXPECT_GE(svc.metrics().counter_total("gets_tag_only"), 1u);
   EXPECT_EQ(svc.metrics().counter_total("gets"), 0u);
-  svc.quiesce();
   // Tag-only reads carry no value and are not linearization-visible: the
   // shard history holds only the put.
   expect_all_histories_clean(svc);
@@ -595,23 +571,6 @@ TEST(StoreClientCache, CapacityEvictsLeastRecentlyUsed) {
   EXPECT_EQ(client.metrics().counter_total("cache_misses"), misses);
   ASSERT_TRUE(client.get_sync("b").ok());  // evicted: miss, then refill
   EXPECT_EQ(client.metrics().counter_total("cache_misses"), misses + 1);
-  svc.quiesce();
-}
-
-TEST(StoreClientCache, NonAtomicReadsBypassTheCache) {
-  auto opt = small_options(1);
-  opt.regular_readers_per_shard = 2;
-  StoreService svc(opt);
-  Client client(svc, cache_opts());
-  ASSERT_TRUE(client.put_sync("r", Bytes{1}).ok());
-
-  OpOptions opts;
-  opts.read_mode = ReadMode::Regular;
-  const auto g = client.get_sync("r", opts);
-  ASSERT_TRUE(g.ok());
-  EXPECT_EQ(client.metrics().counter_total("cache_hits"), 0u);
-  EXPECT_EQ(client.metrics().counter_total("cache_validation_rounds"), 0u);
-  EXPECT_GE(svc.metrics().counter_total("gets"), 1u);
   svc.quiesce();
 }
 

@@ -178,46 +178,20 @@ TEST(StoreService, MultiGetSpansShardsAndPreservesOrder) {
   EXPECT_GT(populated, 1u);
 }
 
-TEST(StoreService, MixedBackendsPerShard) {
-  auto opt = small_options(3);
-  opt.shard_overrides.resize(3);
-  opt.shard_overrides[0].protocol = ShardProtocol::Lds;
-  opt.shard_overrides[1].protocol = ShardProtocol::Abd;
-  opt.shard_overrides[2].protocol = ShardProtocol::Cas;
-  StoreService svc(opt);
-  EXPECT_EQ(svc.shard_protocol(0), ShardProtocol::Lds);
-  EXPECT_EQ(svc.shard_protocol(1), ShardProtocol::Abd);
-  EXPECT_EQ(svc.shard_protocol(2), ShardProtocol::Cas);
-
-  Rng rng(3);
-  std::map<std::string, Bytes> model;
-  for (std::size_t i = 0; i < 60; ++i) {
-    const std::string key = "mix-" + std::to_string(i);
-    model[key] = rng.bytes(24);
-    ASSERT_TRUE(svc.put_sync(key, model[key]).status.ok());
-  }
-  for (const auto& [key, value] : model) {
-    EXPECT_EQ(svc.get_sync(key).value, value);
-  }
-  // Every protocol actually served traffic.
-  for (std::size_t s = 0; s < 3; ++s) {
-    EXPECT_GT(svc.shard_objects(s), 0u) << "shard " << s;
-  }
-  svc.quiesce();
-  expect_all_histories_clean(svc);
-}
-
 TEST(StoreService, LdsCodeBackendIsSelectablePerShard) {
-  auto opt = small_options(2);
-  opt.shard_overrides.resize(2);
-  opt.shard_overrides[0].code = codes::BackendKind::Rs;
-  opt.shard_overrides[1].code = codes::BackendKind::Replication;
-  StoreService svc(opt);
-  for (std::size_t i = 0; i < 10; ++i) {
-    const std::string key = "code-" + std::to_string(i);
-    const Bytes v{static_cast<std::uint8_t>(i), 9, 9};
-    ASSERT_TRUE(svc.put_sync(key, v).status.ok());
-    EXPECT_EQ(svc.get_sync(key).value, v);
+  for (const codes::BackendKind code :
+       {codes::BackendKind::Rs, codes::BackendKind::Replication}) {
+    auto opt = small_options(2);
+    opt.backend.code = code;
+    StoreService svc(opt);
+    for (std::size_t i = 0; i < 10; ++i) {
+      const std::string key = "code-" + std::to_string(i);
+      const Bytes v{static_cast<std::uint8_t>(i), 9, 9};
+      ASSERT_TRUE(svc.put_sync(key, v).status.ok());
+      EXPECT_EQ(svc.get_sync(key).value, v);
+    }
+    svc.quiesce();
+    expect_all_histories_clean(svc);
   }
 }
 

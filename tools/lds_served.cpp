@@ -5,7 +5,7 @@
 //
 //   lds_served                                # 4 shards on 127.0.0.1:7777
 //   lds_served --port 0 --port-file port.txt  # ephemeral port, written out
-//   lds_served --shards 8 --threads 4 --backend lds --duration 60
+//   lds_served --shards 8 --threads 4 --duration 60
 //
 // Prints "lds_served: listening on 127.0.0.1:<port>" once ready, then serves
 // until SIGINT/SIGTERM (or --duration seconds).  On shutdown it stops
@@ -61,7 +61,6 @@ struct ServedOptions {
   std::size_t shards = 4;
   std::size_t threads = 0;      ///< engine lanes; 0 = min(shards, hw)
   std::size_t net_threads = 1;  ///< transport progress threads
-  store::ShardProtocol backend = store::ShardProtocol::Lds;
   double batch_window = 0.5;
   double duration = 0;  ///< seconds; 0 = until signal
   std::uint64_t seed = 1;
@@ -131,17 +130,16 @@ void usage(const char* argv0) {
       "  --threads N       engine lanes; 0 = min(shards, hw threads) (0)\n"
       "  --net-threads N   transport progress threads; connections shard\n"
       "                    across them round-robin (1)\n"
-      "  --backend B       lds|abd|cas shard protocol (lds)\n"
       "  --batch-window X  put-coalescing window in engine units (0.5)\n"
       "  --duration SECS   auto-exit after SECS; 0 = until SIGTERM (0)\n"
       "  --seed N          master seed (1)\n"
       "  --no-verify       skip the shutdown history verification\n"
       "  --data-dir PATH   durable mode: WAL+checkpoint storage under PATH;\n"
-      "                    restarting on the same PATH recovers (lds only)\n"
+      "                    restarting on the same PATH recovers\n"
       "  --sync P          fdatasync policy: always|group|never (always)\n"
       "membership (multi-process quorums; see member/fabric.h):\n"
       "  --member-port N        head: member listener, 0 = ephemeral;\n"
-      "                         requires --shards 1, lds, no --data-dir\n"
+      "                         requires --shards 1, no --data-dir\n"
       "  --member-port-file P   write the bound member port here\n"
       "  --member-dir PATH      persist the active view (VIEW) under PATH;\n"
       "                         a restart resumes at epoch persisted+1\n"
@@ -188,20 +186,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--net-threads") {
       const char* v = next();
       ok = v && (opt.net_threads = std::strtoull(v, nullptr, 10)) >= 1;
-    } else if (arg == "--backend") {
-      const char* v = next();
-      ok = v != nullptr;
-      if (ok) {
-        if (std::strcmp(v, "lds") == 0) {
-          opt.backend = store::ShardProtocol::Lds;
-        } else if (std::strcmp(v, "abd") == 0) {
-          opt.backend = store::ShardProtocol::Abd;
-        } else if (std::strcmp(v, "cas") == 0) {
-          opt.backend = store::ShardProtocol::Cas;
-        } else {
-          ok = false;
-        }
-      }
     } else if (arg == "--batch-window") {
       const char* v = next();
       ok = v != nullptr;
@@ -322,16 +306,11 @@ int main(int argc, char** argv) {
 
   store::StoreOptions sopt;
   sopt.shards = opt.shards;
-  sopt.backend.protocol = opt.backend;
   sopt.batch_window = opt.batch_window;
   sopt.seed = opt.seed;
   sopt.engine_mode = net::EngineMode::Parallel;
   sopt.engine_threads = opt.threads;
   if (!opt.data_dir.empty()) {
-    if (opt.backend != store::ShardProtocol::Lds) {
-      std::fprintf(stderr, "lds_served: --data-dir requires --backend lds\n");
-      return 2;
-    }
     sopt.data_dir = opt.data_dir;
     sopt.durability.sync = opt.sync;
     // Pre-check the manifest so a restart against a data_dir written with a
@@ -349,11 +328,10 @@ int main(int argc, char** argv) {
   // view) BEFORE the service constructs its servers from the active view.
   std::optional<member::Fabric> fabric;
   if (opt.member) {
-    if (opt.shards != 1 || opt.backend != store::ShardProtocol::Lds ||
-        !opt.data_dir.empty()) {
+    if (opt.shards != 1 || !opt.data_dir.empty()) {
       std::fprintf(stderr,
-                   "lds_served: membership mode requires --shards 1, "
-                   "--backend lds and no --data-dir\n");
+                   "lds_served: membership mode requires --shards 1 and no "
+                   "--data-dir\n");
       return 2;
     }
     member::Fabric::Options fo;
@@ -408,9 +386,8 @@ int main(int argc, char** argv) {
     return 2;
   }
   std::printf("lds_served: listening on 127.0.0.1:%u (shards=%zu lanes=%zu "
-              "backend=%s seed=%llu)\n",
+              "seed=%llu)\n",
               svc.listen_port(), opt.shards, svc.engine().lanes(),
-              store::protocol_name(opt.backend),
               static_cast<unsigned long long>(opt.seed));
   std::fflush(stdout);
   if (!opt.port_file.empty() &&
